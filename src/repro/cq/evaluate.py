@@ -19,7 +19,14 @@ from repro.relational.stats import current_stats
 from repro.relational.structure import Structure
 from repro.telemetry.spans import span
 
-__all__ = ["atom_relation", "evaluate", "evaluate_boolean", "satisfying_assignments"]
+__all__ = [
+    "atom_relation",
+    "atom_shape",
+    "evaluate",
+    "evaluate_boolean",
+    "satisfying_assignments",
+    "translate_atom",
+]
 
 
 def atom_relation(atom: Atom, database: Structure) -> Relation:
@@ -27,11 +34,15 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
     database: rows of ``database.relation(atom.predicate)`` filtered on
     constants and repeated variables, projected to one column per variable.
 
-    The result is memoized on the (immutable) database via
-    :meth:`~repro.relational.structure.Structure.derived`: every query over
-    the same structure gets back the *same* :class:`Relation` object per
-    atom, so hash indexes built by one query's joins are probed for free by
-    the next — the cross-job reuse the :class:`~repro.parallel.coordinator.Coordinator`'s
+    Memoized on the (immutable) database via
+    :meth:`~repro.relational.structure.Structure.derived` at two levels.
+    Per atom, every query gets back the *same* :class:`Relation` object.
+    Per :func:`atom_shape`, atoms that differ only in their variable names
+    get :meth:`~repro.relational.relation.Relation.renamed` views of one
+    translated relation, sharing its rows and its positional row memo — so
+    the hash indexes and planner statistics one query builds are probed
+    for free by the next, whatever it names its variables.  That is the
+    cross-job reuse the :class:`~repro.parallel.coordinator.Coordinator`'s
     ``"hash"`` routing policy and the :mod:`repro.service` cache lean on.
     """
     if atom.predicate not in database.vocabulary:
@@ -39,30 +50,71 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
             f"predicate {atom.predicate!r} not in the database vocabulary"
         )
     return database.derived(
-        ("atom_relation", atom), lambda: _build_atom_relation(atom, database)
+        ("atom_relation", atom), lambda: _shape_view(atom, database)
     )
 
 
-def _build_atom_relation(atom: Atom, database: Structure) -> Relation:
-    rows = database.relation(atom.predicate)
+def _shape_view(atom: Atom, database: Structure) -> Relation:
+    arity = database.vocabulary.arity(atom.predicate)
+    if atom.arity != arity:
+        raise VocabularyError(
+            f"atom {atom!r} has {atom.arity} terms but {atom.predicate!r} "
+            f"has arity {arity}"
+        )
+    shape, names = atom_shape(atom)
+    translated = database.derived(
+        ("atom_shape", shape),
+        lambda: translate_atom(atom, database.relation(atom.predicate)),
+    )
+    return translated.renamed(names)
+
+
+def atom_shape(atom: Atom) -> tuple[tuple, tuple[str, ...]]:
+    """``(shape, names)``: the atom up to variable renaming, and its
+    variable names in order of first occurrence.
+
+    The shape is the predicate plus one entry per term — the
+    first-occurrence slot (an int) of a variable, or a 1-tuple wrapping a
+    constant — so ``E(X, Y)`` and ``E(A, B)`` share a shape while
+    ``E(X, X)``, ``E(X, 2)`` and ``E(1, 2)`` each have their own.  Atoms of
+    one shape translate to the same rows, column for column.
+    """
+    slots: dict[Var, int] = {}
+    pattern = tuple(
+        slots.setdefault(t, len(slots)) if isinstance(t, Var) else (t,)
+        for t in atom.terms
+    )
+    return (atom.predicate, pattern), tuple(v.name for v in slots)
+
+
+def translate_atom(atom: Atom, rows: frozenset[tuple[Any, ...]]) -> Relation:
+    """Filter a predicate's rows through the atom's constants and repeated
+    variables, one column per distinct variable (in first-occurrence
+    order).
+
+    An atom whose terms are all distinct variables passes every row
+    through unchanged, so its relation shares ``rows`` itself — no
+    per-row work at all.
+    """
     variables = atom.variables()
-    first_position = {v: atom.terms.index(v) for v in variables}
+    names = tuple(v.name for v in variables)
+    if len(variables) == len(atom.terms):
+        return Relation.from_trusted_rows(names, rows)
+    first = {v: atom.terms.index(v) for v in variables}
 
     def matches(row: tuple) -> bool:
         for i, term in enumerate(atom.terms):
             if isinstance(term, Var):
-                if row[i] != row[first_position[term]]:
+                if row[i] != row[first[term]]:
                     return False
             elif row[i] != term:
                 return False
         return True
 
-    out = (
-        tuple(row[first_position[v]] for v in variables)
-        for row in rows
-        if matches(row)
+    return Relation(
+        names,
+        (tuple(row[first[v]] for v in variables) for row in rows if matches(row)),
     )
-    return Relation(tuple(v.name for v in variables), out)
 
 
 def _body_join(

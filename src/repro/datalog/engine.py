@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.cq.evaluate import atom_shape, translate_atom
 from repro.cq.query import Atom, Var
 from repro.datalog.syntax import Program, Rule
 from repro.errors import VocabularyError
@@ -59,13 +60,16 @@ def _edb_facts(program: Program, database: Structure | Mapping[str, Any]) -> Fac
     return facts
 
 
-#: Per-evaluation cache of atom relations, keyed by ``(atom, predicate
-#: value)``.  EDB predicates never change across fixpoint rounds, so every
-#: round after the first gets back the *same* :class:`Relation` object —
-#: and with it the memoized hash indexes built by earlier delta joins
+#: Per-evaluation cache of atom relations.  ``(atom, predicate value)``
+#: keys hold what :func:`_atom_to_relation` hands out; ``(shape, predicate
+#: value)`` keys (:func:`~repro.cq.evaluate.atom_shape`) hold the translated
+#: relation those are renamed views of.  EDB predicates never change across
+#: fixpoint rounds, so every round after the first gets back the *same*
+#: :class:`Relation` object per atom — and every atom of one shape shares
+#: the memoized hash indexes built by earlier delta joins
 #: (``Relation.index_on``), instead of re-deriving and re-indexing the
 #: relation each round.
-_AtomCache = dict[tuple[Atom, frozenset], Relation]
+_AtomCache = dict[tuple[Any, frozenset], Relation]
 
 
 def _atom_to_relation(
@@ -73,38 +77,18 @@ def _atom_to_relation(
     value: frozenset[tuple[Any, ...]],
     cache: _AtomCache | None = None,
 ) -> Relation:
-    """Filter a predicate's current value through the atom's constants and
-    repeated variables; one column per distinct variable."""
-    if cache is not None:
-        cached = cache.get((atom, value))
-        if cached is not None:
-            return cached
-    variables = atom.variables()
-    if len(variables) == len(atom.terms):
-        # Every term is a distinct variable (no constants to filter on, no
-        # repeats to equate), so the predicate's rows pass through
-        # unchanged and in order: share the frozenset instead of
-        # re-filtering and re-tupling every row.
-        relation = Relation.from_trusted_rows(
-            tuple(v.name for v in variables), value
-        )
-    else:
-        first = {v: atom.terms.index(v) for v in variables}
-
-        def matches(row: tuple) -> bool:
-            for i, term in enumerate(atom.terms):
-                if isinstance(term, Var):
-                    if row[i] != row[first[term]]:
-                        return False
-                elif row[i] != term:
-                    return False
-            return True
-
-        relation = Relation(
-            tuple(v.name for v in variables),
-            (tuple(row[first[v]] for v in variables) for row in value if matches(row)),
-        )
-    if cache is not None:
+    """The atom's relation over a predicate value
+    (:func:`~repro.cq.evaluate.translate_atom`), through ``cache``."""
+    if cache is None:
+        return translate_atom(atom, value)
+    relation = cache.get((atom, value))
+    if relation is None:
+        shape, names = atom_shape(atom)
+        translated = cache.get((shape, value))
+        if translated is None:
+            translated = translate_atom(atom, value)
+            cache[(shape, value)] = translated
+        relation = translated.renamed(names)
         cache[(atom, value)] = relation
     return relation
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+from repro.cq.evaluate import atom_shape, translate_atom
 from repro.cq.query import Atom, Var
 from repro.datalog.engine import (
     DEFAULT_EXECUTION,
@@ -52,8 +53,8 @@ from repro.datalog.engine import (
 from repro.datalog.syntax import Program, Rule
 from repro.errors import DomainError, VocabularyError
 from repro.relational.algebra import join_all
-from repro.relational.planner import RelationProfile, parse_strategy
-from repro.relational.relation import Relation
+from repro.relational.planner import parse_strategy
+from repro.relational.relation import RowMemo
 from repro.relational.structure import Structure, Vocabulary
 from repro.telemetry.spans import span
 
@@ -149,34 +150,42 @@ class _PredicateIndexPool:
     keeps the index dicts alive between batches and folds each batch's net
     delta in with :func:`_cow_apply`, so a small update costs O(delta)
     bucket edits plus one pointer-copy of the dict — never a rescan of the
-    rows.  Per-position distinct-value counts ride along so the planner's
-    :func:`~repro.relational.planner.profile` can be transplanted too.
+    rows.  Indexes are keyed by column positions, exactly as in a
+    relation's :class:`~repro.relational.relation.RowMemo`, and
+    per-position distinct-value counts ride along so the planner's
+    :func:`~repro.relational.planner.profile` statistics carry over too.
     """
 
-    __slots__ = ("rows", "indexes", "counters")
+    __slots__ = ("rows", "arity", "indexes", "counters")
 
-    def __init__(self, rows: frozenset) -> None:
+    def __init__(self, rows: frozenset, arity: int) -> None:
         self.rows = rows
+        self.arity = arity
         self.indexes: dict[tuple[int, ...], dict[tuple, list]] = {}
         self.counters: list[dict[Any, int]] | None = None
 
     def _count_from_scratch(self) -> list[dict[Any, int]]:
-        arity = len(next(iter(self.rows))) if self.rows else 0
-        counters: list[dict[Any, int]] = [{} for _ in range(arity)]
+        counters: list[dict[Any, int]] = [{} for _ in range(self.arity)]
         for row in self.rows:
             for i, v in enumerate(row):
                 counters[i][v] = counters[i].get(v, 0) + 1
         return counters
 
-    def adopt(self, attributes: tuple[str, ...], indexes: dict) -> None:
-        """Take ownership of indexes a join built against ``self.rows`` on a
-        relation with the given (position-ordered) attribute names."""
-        for attr_key, index in indexes.items():
-            positions = tuple(attributes.index(a) for a in attr_key)
-            if positions not in self.indexes:
-                self.indexes[positions] = index
-                if self.counters is None:
-                    self.counters = self._count_from_scratch()
+    def adopt(self, memo: RowMemo) -> None:
+        """Take ownership of the indexes joins built on a relation over
+        ``self.rows``."""
+        for positions, index in memo.indexes.items():
+            self.indexes.setdefault(positions, index)
+        if self.indexes and self.counters is None:
+            self.counters = self._count_from_scratch()
+
+    def publish(self, memo: RowMemo) -> None:
+        """Top up the memo of a relation over ``self.rows`` with the
+        pooled indexes and distinct counts."""
+        for positions, index in self.indexes.items():
+            memo.indexes.setdefault(positions, index)
+        if memo.distinct is None and self.counters is not None:
+            memo.distinct = tuple(float(len(c)) for c in self.counters)
 
     def sync(self, rows: frozenset) -> None:
         """Fold the delta between the pool's snapshot and ``rows`` into
@@ -191,10 +200,6 @@ class _PredicateIndexPool:
                 for positions, index in self.indexes.items()
             }
             if self.counters is not None:
-                if added and not self.counters:
-                    # The pool was adopted while empty; size the counters
-                    # off the first rows to arrive.
-                    self.counters = [{} for _ in range(len(next(iter(added))))]
                 for row in removed:
                     for i, v in enumerate(row):
                         counter = self.counters[i]
@@ -209,23 +214,15 @@ class _PredicateIndexPool:
                         counter[v] = counter.get(v, 0) + 1
         self.rows = rows
 
-    def profile(self, attributes: tuple[str, ...]) -> RelationProfile | None:
-        if self.counters is None:
-            return None
-        return RelationProfile(
-            frozenset(attributes),
-            float(len(self.rows)),
-            {a: float(len(self.counters[i])) for i, a in enumerate(attributes)},
-        )
-
 
 class _BoundedAtomCache:
     """The persistent atom-relation cache of one incremental evaluation.
 
-    Same ``(atom, predicate-value)`` keying as the per-evaluation cache in
-    :mod:`repro.datalog.engine`, but bounded to a few entries per atom so a
-    long-lived service does not accumulate one relation per atom per update
-    batch: an unchanged predicate keeps returning the same cached
+    Same keying as the per-evaluation cache in :mod:`repro.datalog.engine`
+    (``(atom or shape, predicate value)``), but bounded to a few values
+    per atom or shape so a long-lived service does not accumulate one
+    relation per atom per update batch: an unchanged predicate keeps
+    returning the same cached
     :class:`~repro.relational.relation.Relation` (with its warmed indexes)
     forever, while superseded values age out FIFO.
     """
@@ -235,16 +232,16 @@ class _BoundedAtomCache:
     __slots__ = ("_store",)
 
     def __init__(self) -> None:
-        self._store: dict[Atom, dict[frozenset, Any]] = {}
+        self._store: dict[Any, dict[frozenset, Any]] = {}
 
-    def get(self, key: tuple[Atom, frozenset]) -> Any:
+    def get(self, key: tuple[Any, frozenset]) -> Any:
         atom, value = key
         per_atom = self._store.get(atom)
         if per_atom is None:
             return None
         return per_atom.get(value)
 
-    def __setitem__(self, key: tuple[Atom, frozenset], relation: Any) -> None:
+    def __setitem__(self, key: tuple[Any, frozenset], relation: Any) -> None:
         atom, value = key
         per_atom = self._store.setdefault(atom, {})
         if len(per_atom) >= self.PER_ATOM:
@@ -307,15 +304,15 @@ class IncrementalEvaluation:
         self._structure: Structure | None = None
         self._generation = 0
         # Body atoms whose terms are all distinct variables share their
-        # predicate's raw rows (the `_atom_to_relation` fast path), so
-        # their join-key indexes can be pooled across update batches.
-        self._identity_atoms: dict[str, tuple[Atom, ...]] = {}
-        shapes: dict[str, dict[Atom, None]] = {}
-        for rule in program.rules:
-            for atom in rule.body:
-                if len(atom.variables()) == len(atom.terms):
-                    shapes.setdefault(atom.predicate, {})[atom] = None
-        self._identity_atoms = {p: tuple(atoms) for p, atoms in shapes.items()}
+        # predicate's raw rows (the `translate_atom` fast path) and one
+        # shape per predicate, so their join-key indexes can be pooled
+        # across update batches.  One such atom per predicate names it.
+        self._identity_atoms: dict[str, Atom] = {
+            atom.predicate: atom
+            for rule in program.rules
+            for atom in rule.body
+            if len(atom.variables()) == len(atom.terms)
+        }
         self._pools: dict[str, _PredicateIndexPool] = {}
         with span("datalog.incremental.init", mode=deletion) as sp:
             values = _edb_facts(program, database or {})
@@ -484,54 +481,38 @@ class IncrementalEvaluation:
         """Bring every predicate's index pool up to the current values.
 
         Before folding the delta in, indexes grown during the last phase on
-        the pool-snapshot relations (still resident in the atom cache) are
+        the pool-snapshot relation (still resident in the atom cache) are
         adopted, so the pool learns new join keys from whatever the planner
         actually probed — no rule analysis, no speculative builds.
         """
-        for predicate, atoms in self._identity_atoms.items():
+        for predicate, atom in self._identity_atoms.items():
             rows = self._values.get(predicate)
             if rows is None:
                 continue
             pool = self._pools.get(predicate)
             if pool is None:
-                self._pools[predicate] = _PredicateIndexPool(rows)
+                self._pools[predicate] = _PredicateIndexPool(rows, atom.arity)
                 continue
-            for atom in atoms:
-                relation = self._cache.get((atom, pool.rows))
-                if relation is not None:
-                    pool.adopt(relation.attributes, relation._indexes)
+            relation = self._cache.get((atom_shape(atom)[0], pool.rows))
+            if relation is not None:
+                pool.adopt(relation.row_memo)
             pool.sync(rows)
 
     def _seed_pool_relations(self) -> None:
-        """Inject pool-backed relations for the current snapshot into the
-        atom cache: each carries the pool's maintained indexes (and planner
-        profile), so the phase's joins probe them instead of rebuilding
-        O(rows) structures per update batch."""
-        for predicate, atoms in self._identity_atoms.items():
+        """Make the atom cache's relation for each pooled snapshot carry the
+        pool's maintained indexes (and planner statistics), so the phase's
+        joins probe them instead of rebuilding O(rows) structures per
+        update batch."""
+        for predicate, atom in self._identity_atoms.items():
             pool = self._pools.get(predicate)
             if pool is None or not pool.indexes or pool.rows is not self._values.get(predicate):
                 continue
-            for atom in atoms:
-                key = (atom, pool.rows)
-                attrs = tuple(v.name for v in atom.variables())
-                existing = self._cache.get(key)
-                if existing is not None:
-                    # A closure round already built this snapshot's relation
-                    # (sharing the same frozenset); top up whatever pooled
-                    # indexes it lacks rather than shadowing the pool.
-                    if existing.tuples is pool.rows:
-                        for positions, index in pool.indexes.items():
-                            existing._indexes.setdefault(
-                                tuple(attrs[i] for i in positions), index
-                            )
-                        if existing._profile is None:
-                            existing._profile = pool.profile(attrs)
-                    continue
-                relation = Relation.from_trusted_rows(attrs, pool.rows)
-                for positions, index in pool.indexes.items():
-                    relation._indexes[tuple(attrs[i] for i in positions)] = index
-                relation._profile = pool.profile(attrs)
+            key = (atom_shape(atom)[0], pool.rows)
+            relation = self._cache.get(key)
+            if relation is None:
+                relation = translate_atom(atom, pool.rows)
                 self._cache[key] = relation
+            pool.publish(relation.row_memo)
 
     def _report(self, old: Facts, rounds: int) -> UpdateReport:
         edb_added: dict[str, frozenset] = {}

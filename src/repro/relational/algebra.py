@@ -149,6 +149,9 @@ def select(relation: Relation, predicate: Callable[[Mapping[str, Any]], bool]) -
 def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
     """Rename attributes according to ``mapping`` (attributes absent from the
     mapping keep their names).  The resulting scheme must still be distinct.
+
+    O(1): the result is a :meth:`Relation.renamed` view sharing the rows
+    and their memoized indexes.
     """
     new_attrs = tuple(mapping.get(a, a) for a in relation.attributes)
     if len(set(new_attrs)) != len(new_attrs):
@@ -156,7 +159,7 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
             f"renaming {dict(mapping)!r} collapses scheme "
             f"{relation.attributes!r} to non-distinct {new_attrs!r}"
         )
-    return Relation(new_attrs, relation.tuples)
+    return relation.renamed(new_attrs)
 
 
 def _shared_and_private(

@@ -179,25 +179,21 @@ class RelationProfile:
 def profile(relation: Relation) -> RelationProfile:
     """Exact profile of a base relation (one pass over the tuples).
 
-    Memoized on the relation object: relations are immutable, so the
-    statistics never go stale, and repeated planning over a persistent
-    relation (every delta round of a fixpoint probes the same full IDB
-    relation) pays the scan once.
+    The per-column distinct counts are memoized by position in the
+    relation's row memo: relations are immutable, so the statistics never
+    go stale, and repeated planning over a persistent relation (every
+    delta round of a fixpoint probes the same full IDB relation) — or over
+    any renaming of its rows — pays the scan once.
     """
-    cached = relation._profile
-    if cached is not None:
-        return cached
-    counts: dict[str, set] = {a: set() for a in relation.attributes}
-    for row in relation:
-        for a, v in zip(relation.attributes, row):
-            counts[a].add(v)
-    result = RelationProfile(
-        frozenset(relation.attributes),
-        float(len(relation)),
-        {a: float(len(vs)) for a, vs in counts.items()},
+    attributes = relation.attributes
+    memo = relation.row_memo
+    distinct = memo.distinct
+    if distinct is None:
+        columns = zip(*relation.tuples) if relation else ((),) * len(attributes)
+        distinct = memo.distinct = tuple(float(len(set(c))) for c in columns)
+    return RelationProfile(
+        frozenset(attributes), float(len(relation)), dict(zip(attributes, distinct))
     )
-    relation._profile = result
-    return result
 
 
 def estimate_join(left: RelationProfile, right: RelationProfile) -> RelationProfile:

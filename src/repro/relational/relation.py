@@ -10,6 +10,13 @@ the tutorial takes in Section 2 when it reads a CSP constraint ``(t, R)`` as
 Relations are hashable and comparable, so they can be shared freely between
 the CSP, conjunctive-query, and structure representations that the library
 converts between.
+
+Rows, and everything derived from them, live by column *position*; the
+scheme is a view over them.  The memoized hash indexes, code indexes and
+per-column distinct counts sit in one :class:`RowMemo` keyed by column
+positions, and :meth:`Relation.renamed` hands out the same rows under
+another scheme in O(1), sharing both the row set and that memo — so an
+index built through one variable naming is probed through every other.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ArityError, SchemaError, VocabularyError
 
-__all__ = ["Relation", "CodeIndex", "DENSE_KEY_SPACE_CAP"]
+__all__ = ["Relation", "RowMemo", "CodeIndex", "DENSE_KEY_SPACE_CAP"]
 
 #: Largest packed-key space for which :meth:`Relation.code_index_on` uses a
 #: dense array (plus membership bitmap) instead of a dict of packed keys.
@@ -96,6 +103,27 @@ class CodeIndex:
         return self.buckets.__getitem__ if self.dense else self.buckets.get
 
 
+class RowMemo:
+    """The derived state of one row set, keyed by column positions.
+
+    Every relation sharing a row set through :meth:`Relation.renamed`
+    shares this memo, so whatever one naming builds, every other naming
+    finds.  ``indexes`` and ``code_indexes`` map a tuple of key positions
+    to the :meth:`Relation.index_on` / :meth:`Relation.code_index_on`
+    structure over those columns; ``distinct`` holds the per-column
+    distinct-value counts behind :func:`repro.relational.planner.profile`
+    (``None`` until first requested).  Published indexes and their buckets
+    are never mutated; the memo only ever gains entries.
+    """
+
+    __slots__ = ("indexes", "code_indexes", "distinct")
+
+    def __init__(self) -> None:
+        self.indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]] = {}
+        self.code_indexes: dict[tuple[int, ...], CodeIndex] = {}
+        self.distinct: tuple[float, ...] | None = None
+
+
 def _check_scheme(attributes: Sequence[str]) -> tuple[str, ...]:
     attrs = tuple(attributes)
     if len(set(attrs)) != len(attrs):
@@ -126,15 +154,7 @@ class Relation:
     True
     """
 
-    __slots__ = (
-        "_attributes",
-        "_tuples",
-        "_hash",
-        "_indexes",
-        "_code_indexes",
-        "_column_store",
-        "_profile",
-    )
+    __slots__ = ("_attributes", "_tuples", "_hash", "_memo", "_keys", "_column_store")
 
     def __init__(self, attributes: Sequence[str], tuples: Iterable[Sequence[Any]] = ()):
         self._attributes = _check_scheme(attributes)
@@ -150,10 +170,9 @@ class Relation:
             rows.add(t)
         self._tuples: frozenset[tuple[Any, ...]] = frozenset(rows)
         self._hash: int | None = None
-        self._indexes: dict[tuple[str, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]] = {}
-        self._code_indexes: dict[tuple[str, ...], CodeIndex] = {}
+        self._memo: RowMemo | None = None
+        self._keys: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._column_store: Any = None
-        self._profile: Any = None
 
     # -- basic protocol ---------------------------------------------------
 
@@ -202,10 +221,11 @@ class Relation:
 
     # -- pickling ----------------------------------------------------------
     #
-    # Only the scheme and the rows travel: the memoized hash indexes, code
-    # indexes, and column store are derived state, rebuilt lazily on the
-    # other side of the wire — a sharded worker re-derives exactly what it
-    # probes, and a pickled relation costs no more than its rows
+    # Only the scheme and the rows travel: the row memo (hash indexes, code
+    # indexes, distinct counts) and the column store are derived state,
+    # rebuilt lazily on the other side of the wire — a sharded worker
+    # re-derives exactly what it probes, and a pickled relation costs no
+    # more than its rows
     # (tests/parallel/test_pickling.py pins the size regression).
 
     def __getstate__(self) -> tuple[tuple[str, ...], frozenset[tuple[Any, ...]]]:
@@ -216,10 +236,9 @@ class Relation:
     ) -> None:
         self._attributes, self._tuples = state
         self._hash = None
-        self._indexes = {}
-        self._code_indexes = {}
+        self._memo = None
+        self._keys = {}
         self._column_store = None
-        self._profile = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -254,10 +273,38 @@ class Relation:
         relation._attributes = attributes
         relation._tuples = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._hash = None
-        relation._indexes = {}
-        relation._code_indexes = {}
+        relation._memo = None
+        relation._keys = {}
         relation._column_store = None
-        relation._profile = None
+        return relation
+
+    def renamed(self, attributes: Sequence[str]) -> "Relation":
+        """The same rows under the scheme ``attributes``, in O(1).
+
+        Columns correspond positionally.  The result shares this
+        relation's row set and :class:`RowMemo`, so indexes and planner
+        statistics built through either scheme serve both; equality and
+        hashing still see the new names.  Renaming to the current scheme
+        returns ``self``.  A scheme with repeated names raises
+        :class:`~repro.errors.SchemaError`, one of the wrong length
+        :class:`~repro.errors.ArityError`.
+
+        >>> r = Relation(("x", "y"), [(1, 2)])
+        >>> s = r.renamed(("a", "b"))
+        >>> s.attributes, s.tuples is r.tuples
+        (('a', 'b'), True)
+        """
+        attrs = tuple(attributes)
+        if attrs == self._attributes:
+            return self
+        _check_scheme(attrs)
+        if len(attrs) != len(self._attributes):
+            raise ArityError(
+                f"scheme {attrs!r} has arity {len(attrs)} but the relation "
+                f"has arity {len(self._attributes)}"
+            )
+        relation = Relation.from_trusted_rows(attrs, self._tuples)
+        relation._memo = self.row_memo
         return relation
 
     @classmethod
@@ -302,6 +349,28 @@ class Relation:
         return attribute in self._attributes
 
     # -- hash indexes ------------------------------------------------------
+    #
+    # Indexes are memoized in the shared RowMemo by key *positions*, so a
+    # renamed view of the same rows probes the indexes this naming built.
+    # Key names resolve to positions through the per-instance ``_keys``.
+
+    @property
+    def row_memo(self) -> RowMemo:
+        """The :class:`RowMemo` this relation shares with every
+        :meth:`renamed` view of its rows (created on first use)."""
+        if self._memo is None:
+            self._memo = RowMemo()
+        return self._memo
+
+    def _positions(self, attributes: tuple[str, ...]) -> tuple[int, ...]:
+        """Column positions of the key ``attributes`` (memoized in
+        ``_keys``); raises :class:`~repro.errors.VocabularyError` like
+        :meth:`index_of`."""
+        positions = self._keys.get(attributes)
+        if positions is None:
+            positions = tuple(self.index_of(a) for a in attributes)
+            self._keys[attributes] = positions
+        return positions
 
     def index_on(
         self, attributes: Sequence[str]
@@ -310,10 +379,12 @@ class Relation:
 
         The index maps each tuple of key-column values (in the order the
         attributes are given) to the list of full rows carrying those
-        values.  Indexes are built lazily on first request and memoized on
-        the instance — relations are immutable, so a built index is valid
-        forever and is shared by every later join/semijoin probing the same
-        key.  The empty key indexes every row under ``()``.
+        values.  Indexes are built lazily on first request and memoized by
+        key positions in the row memo — relations are immutable, so a
+        built index is valid forever and is shared by every later
+        join/semijoin probing the same key, through this scheme or any
+        :meth:`renamed` view of the rows.  The empty key indexes every row
+        under ``()``.
 
         Callers must not mutate the returned mapping or its row lists.
 
@@ -321,48 +392,63 @@ class Relation:
         >>> sorted(r.index_on(("x",))[(1,)])
         [(1, 2), (1, 3)]
         """
+        # _positions inlined: residual-support revision calls this per probe.
         attrs = tuple(attributes)
-        cached = self._indexes.get(attrs)
+        positions = self._keys.get(attrs)
+        if positions is None:
+            positions = self._positions(attrs)
+        indexes = (self._memo or self.row_memo).indexes
+        cached = indexes.get(positions)
         if cached is not None:
             return cached
-        positions = [self.index_of(a) for a in attrs]
         index: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
         for t in self._tuples:
             index.setdefault(tuple(t[i] for i in positions), []).append(t)
-        self._indexes[attrs] = index
+        indexes[positions] = index
         return index
 
     def has_index(self, attributes: Sequence[str]) -> bool:
         """Whether :meth:`index_on` has already been built (and memoized)
-        for exactly this key-column tuple."""
-        return tuple(attributes) in self._indexes
+        for exactly these key columns, through any naming of the rows."""
+        if self._memo is None:
+            return False
+        try:
+            return self._positions(tuple(attributes)) in self._memo.indexes
+        except VocabularyError:
+            return False
 
     def code_index_on(self, attributes: Sequence[str]) -> CodeIndex:
         """The interned fast-path counterpart of :meth:`index_on`.
 
         Returns a :class:`CodeIndex` whose keys are single radix-packed
         ints over a dense interning of the key-column values.  Like
-        :meth:`index_on` it is built lazily and memoized per key-column
-        tuple, so the codec and the packed buckets are shared by every
-        later interned join/semijoin probing the same key.
+        :meth:`index_on` it is built lazily and memoized by key positions
+        in the row memo, so the codec and the packed buckets are shared by
+        every later interned join/semijoin probing the same key.
         """
-        attrs = tuple(attributes)
-        cached = self._code_indexes.get(attrs)
+        positions = self._positions(tuple(attributes))
+        code_indexes = self.row_memo.code_indexes
+        cached = code_indexes.get(positions)
         if cached is not None:
             return cached
-        positions = [self.index_of(a) for a in attrs]
         index = CodeIndex(self._tuples, positions)
-        self._code_indexes[attrs] = index
+        code_indexes[positions] = index
         return index
 
     def has_code_index(self, attributes: Sequence[str]) -> bool:
         """Whether :meth:`code_index_on` has already been memoized for
-        exactly this key-column tuple."""
-        return tuple(attributes) in self._code_indexes
+        exactly these key columns, through any naming of the rows."""
+        if self._memo is None:
+            return False
+        try:
+            return self._positions(tuple(attributes)) in self._memo.code_indexes
+        except VocabularyError:
+            return False
 
     def has_column_store(self) -> bool:
         """Whether :func:`repro.relational.columnar.column_store` has
         already built (and memoized) this relation's struct-of-arrays
-        column store.  The store itself lives on the instance like the
-        hash and code indexes do — built lazily, valid forever."""
+        column store.  Unlike the positional indexes in the row memo, the
+        store carries the scheme, so it lives on the instance — built
+        lazily, valid forever."""
         return self._column_store is not None

@@ -204,12 +204,13 @@ class Structure:
         ``build`` is a zero-argument callable run on the first request for
         ``key``; later requests return the stored value.  Because the
         structure never changes, a derived value can be cached for its
-        lifetime — :func:`repro.cq.evaluate.atom_relation` uses this to hand
-        every query over the same database the *same*
-        :class:`~repro.relational.relation.Relation` objects, so the
-        memoized hash indexes built by one query's joins are probed (not
-        rebuilt) by the next query.  The memo is identity state: it is
-        excluded from equality, hashing, and pickling.
+        lifetime — :func:`repro.cq.evaluate.atom_relation` uses this to
+        translate each atom *shape* once and hand every atom of that shape
+        a renamed view of the result, so the positional row memo (hash
+        indexes, planner statistics) that one query's joins build is probed
+        (not rebuilt) by every later query, whatever its variable names.
+        The memo is identity state: it is excluded from equality, hashing,
+        and pickling.
         """
         try:
             return self._derived[key]

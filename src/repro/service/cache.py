@@ -167,13 +167,13 @@ class ResultCache:
 
     @staticmethod
     def _rename(result: Relation, probe: ConjunctiveQuery) -> Relation:
-        """Rebuild a cached relation over the probe's head variable names
-        (columns correspond positionally; equal canonical keys guarantee
-        matching head shapes, so the renaming is always well-formed)."""
-        names = tuple(v.name for v in probe.distinguished)
-        if result.attributes == names:
-            return result
-        return Relation(names, result.tuples)
+        """The cached relation viewed over the probe's head variable names.
+
+        O(1): :meth:`Relation.renamed` shares the cached rows and their
+        memoized indexes, so a hit never touches the data (columns
+        correspond positionally; equal canonical keys guarantee matching
+        head shapes, so the renaming is always well-formed)."""
+        return result.renamed(v.name for v in probe.distinguished)
 
     # -- store / invalidate ---------------------------------------------------
 

@@ -114,6 +114,10 @@ def run_serve(
             continue
         try:
             request = json.loads(line)
+            if not isinstance(request, dict):
+                raise TypeError(
+                    f"a request must be a JSON object, not {type(request).__name__}"
+                )
             op = request.get("op")
             if op == "quit":
                 respond({"ok": True, "op": "quit"})

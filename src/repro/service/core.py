@@ -128,10 +128,16 @@ class QueryService:
         The query is minimized (its core computed) once; the cache is
         probed with the minimized form, and only a miss evaluates against
         the data — after which the result is stored for future equivalent
-        (or projectable) queries.
+        (or projectable) queries.  Anything but query text or a
+        :class:`~repro.cq.query.ConjunctiveQuery` raises :class:`TypeError`.
         """
         if isinstance(query, str):
             query = parse_query(query)
+        elif not isinstance(query, ConjunctiveQuery):
+            raise TypeError(
+                "a query must be query text or a ConjunctiveQuery, "
+                f"not {type(query).__name__}"
+            )
         started = time.perf_counter()
         with span("service.query", head=query.head_name) as sp:
             minimized = minimize(query)

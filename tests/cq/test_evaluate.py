@@ -1,11 +1,20 @@
 """Conjunctive-query evaluation Q(D)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.cq.evaluate import atom_relation, evaluate, evaluate_boolean, satisfying_assignments
+from repro.cq.evaluate import (
+    atom_relation,
+    atom_shape,
+    evaluate,
+    evaluate_boolean,
+    satisfying_assignments,
+)
 from repro.cq.parser import parse_atom, parse_query
 from repro.cq.query import Var
 from repro.errors import VocabularyError
+from repro.relational.relation import Relation
 from repro.relational.structure import Structure
 
 
@@ -85,3 +94,50 @@ class TestEvaluate:
     def test_empty_database(self):
         q = parse_query("Q(X) :- E(X, Y).")
         assert not evaluate(q, db([], nodes=[1]))
+
+
+def filter_and_project(atom, rows):
+    """Oracle: keep the rows that match the atom's constants and repeated
+    variables, one column per distinct variable."""
+    variables = atom.variables()
+    out = set()
+    for row in rows:
+        env = {}
+        if all(
+            env.setdefault(term, value) == value
+            if isinstance(term, Var)
+            else term == value
+            for term, value in zip(atom.terms, row)
+        ):
+            out.add(tuple(env[v] for v in variables))
+    return Relation(tuple(v.name for v in variables), out)
+
+
+SHAPES = ["E(X, Y)", "E(X, X)", "E(X, 2)", "E(2, X)", "E(1, 2)"]
+RENAMED = ["E(A, B)", "E(B, B)", "E(B, 2)", "E(2, B)", "E(1, 2)"]
+
+
+@given(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12))
+def test_atom_relation_matches_filter_and_project(edges):
+    structure = Structure({"E": 2}, range(4), {"E": edges})
+    for text in SHAPES + RENAMED:
+        atom = parse_atom(text)
+        assert atom_relation(atom, structure) == filter_and_project(atom, edges), text
+
+
+def test_atom_shape_ignores_variable_names_only():
+    shapes = [atom_shape(parse_atom(text)) for text in SHAPES]
+    assert len({shape for shape, _ in shapes}) == len(SHAPES)
+    for text, renamed in zip(SHAPES, RENAMED):
+        (shape, names), (other, other_names) = (
+            atom_shape(parse_atom(text)),
+            atom_shape(parse_atom(renamed)),
+        )
+        assert shape == other
+        assert len(names) == len(other_names)
+    assert atom_shape(parse_atom("E(X, 0)"))[0] != atom_shape(parse_atom("E(X, Y)"))[0]
+
+
+def test_atom_with_the_wrong_arity_is_rejected():
+    with pytest.raises(VocabularyError):
+        atom_relation(parse_atom("E(X)"), PATH)

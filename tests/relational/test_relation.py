@@ -1,10 +1,14 @@
 """Unit tests for the Relation value type."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ArityError, SchemaError, VocabularyError
+from repro.relational.algebra import rename
+from repro.relational.planner import profile
 from repro.relational.relation import Relation
 
 
@@ -162,3 +166,90 @@ def test_relation_equality_is_extensional(rows1, rows2):
     r1 = Relation(("x", "y"), rows1)
     r2 = Relation(("x", "y"), rows2)
     assert (r1 == r2) == (set(map(tuple, rows1)) == set(map(tuple, rows2)))
+
+
+# -- renaming is a view: rows and their positional memo are shared ---------
+
+names_strategy = st.lists(
+    st.sampled_from("xyzab"), min_size=2, max_size=2, unique=True
+).map(tuple)
+positions_strategy = st.lists(st.integers(0, 1), max_size=2, unique=True).map(tuple)
+
+
+@given(rows_strategy, names_strategy)
+def test_renamed_equals_the_rebuilt_relation_and_shares_its_rows(rows, names):
+    r = Relation(("x", "y"), rows)
+    view = r.renamed(names)
+    rebuilt = Relation(names, r.tuples)
+    assert view == rebuilt and hash(view) == hash(rebuilt)
+    assert view.tuples is r.tuples
+    assert profile(view) == profile(rebuilt)
+
+
+@given(rows_strategy, names_strategy, positions_strategy, st.booleans())
+def test_an_index_built_through_either_name_serves_both(rows, names, key, on_view):
+    r = Relation(("x", "y"), rows)
+    view = r.renamed(names)
+    builder, other = (view, r) if on_view else (r, view)
+    builder_key = tuple(builder.attributes[i] for i in key)
+    other_key = tuple(other.attributes[i] for i in key)
+    assert not other.has_index(other_key)
+    assert not other.has_code_index(other_key)
+    index = builder.index_on(builder_key)
+    code_index = builder.code_index_on(builder_key)
+    assert other.has_index(other_key) and other.index_on(other_key) is index
+    assert other.has_code_index(other_key)
+    assert other.code_index_on(other_key) is code_index
+    scratch = Relation(other.attributes, rows).index_on(other_key)
+    assert {k: sorted(v) for k, v in index.items()} == {
+        k: sorted(v) for k, v in scratch.items()
+    }
+
+
+@given(st.lists(st.sampled_from("abc"), max_size=4))
+def test_renamed_rejects_duplicate_names_and_wrong_arity(names):
+    r = Relation(("x", "y"), [(1, 2)])
+    if len(set(names)) != len(names):
+        with pytest.raises(SchemaError):
+            r.renamed(names)
+    elif len(names) != 2:
+        with pytest.raises(ArityError):
+            r.renamed(names)
+    else:
+        assert r.renamed(names).attributes == tuple(names)
+
+
+@given(rows_strategy, st.dictionaries(st.sampled_from("xy"), st.sampled_from("xyz")))
+def test_algebra_rename_is_a_view_and_raises_on_collapse(rows, mapping):
+    r = Relation(("x", "y"), rows)
+    new_attrs = tuple(mapping.get(a, a) for a in r.attributes)
+    if len(set(new_attrs)) < 2:
+        with pytest.raises(SchemaError):
+            rename(r, mapping)
+        return
+    renamed = rename(r, mapping)
+    assert renamed == Relation(new_attrs, rows)
+    assert renamed.tuples is r.tuples
+
+
+def test_renaming_to_the_same_scheme_is_the_identity():
+    r = Relation(("x", "y"), [(1, 2)])
+    assert r.renamed(("x", "y")) is r
+    assert rename(r, {}) is r
+
+
+@given(rows_strategy, names_strategy)
+def test_pickling_a_renamed_relation_drops_the_memo(rows, names):
+    r = Relation(("x", "y"), rows)
+    view = r.renamed(names)
+    view.index_on(names[:1])
+    view.code_index_on(names[:1])
+    profile(view)
+    restored = pickle.loads(pickle.dumps(view))
+    assert restored == view
+    assert not restored.has_index(names[:1])
+    assert not restored.has_code_index(names[:1])
+    assert restored.row_memo is not view.row_memo
+    assert restored.row_memo.distinct is None
+    assert r.has_index(("x",))  # the original keeps what it shares
+    assert len(pickle.dumps(view)) == len(pickle.dumps(Relation(names, rows)))

@@ -169,3 +169,17 @@ class TestDerivedMemo:
         assert r1 is r2
         other = atom_relation(parse_atom("E(A, B)"), s)
         assert other is not r1 and other.attributes == ("A", "B")
+        # One shape, one translation: the renamed view shares the
+        # structure's rows and the positional row memo.
+        assert other.tuples is r1.tuples is s.relation("E")
+        assert not other.has_index(("B",))
+        index = r1.index_on(("Y",))
+        assert other.has_index(("B",)) and other.index_on(("B",)) is index
+        # Different shapes translate separately and share nothing.
+        for text in ("E(X, X)", "E(X, 2)", "E(2, X)", "E(1, 2)"):
+            shaped = atom_relation(parse_atom(text), s)
+            assert shaped.tuples is not r1.tuples, text
+            assert shaped.row_memo is not r1.row_memo, text
+        assert atom_relation(parse_atom("E(Y, Y)"), s).tuples is (
+            atom_relation(parse_atom("E(X, X)"), s).tuples
+        )

@@ -72,6 +72,18 @@ def test_serve_reports_errors_without_dying():
     assert "unknown op" in responses[0]["error"]
 
 
+def test_serve_answers_valid_json_it_cannot_handle_and_keeps_serving():
+    bad = ["[1]", "5", "null", '"text"', '{"op": "query", "q": 5}']
+    for line in bad:
+        responses = serve_session([line, '{"op": "stats"}'])
+        assert len(responses) == 2, line
+        assert responses[0]["ok"] is False, line
+        assert responses[0]["error"].startswith("TypeError: "), line
+        assert responses[1]["ok"] is True and responses[1]["op"] == "stats", line
+    responses = serve_session(bad + ['{"op": "stats"}'])
+    assert [r["ok"] for r in responses] == [False] * len(bad) + [True]
+
+
 def test_serve_skips_blank_lines():
     responses = serve_session(["", '{"op": "stats"}', "   ", '{"op": "quit"}'])
     assert len(responses) == 2

@@ -36,6 +36,28 @@ def test_answers_match_direct_evaluation_hit_or_miss():
     assert svc.ask(variants[0]).outcome == "exact"
 
 
+def test_equivalence_hits_return_the_cached_rows_by_identity():
+    import pickle
+
+    svc = make_service()
+    texts = [
+        "Q(X, Y) :- T(X, Y), E(Y, Z).",
+        "P(A, B) :- E(B, C), T(A, B).",
+        "R(U, V) :- T(U, V), E(V, W), E(V, W2).",
+    ]
+    first = svc.ask(texts[0])
+    svc.update(inserts={"E": {(4, 6)}})
+    first = svc.ask(texts[0])
+    assert first.outcome == "miss"
+    # An uncached oracle: the same state without any memoized derivations.
+    fresh = pickle.loads(pickle.dumps(svc.engine.as_structure()))
+    for text in texts[1:]:
+        answer = svc.ask(text)
+        assert answer.outcome == "equivalence"
+        assert answer.result.tuples is first.result.tuples
+        assert answer.result == evaluate(parse_query(text), fresh)
+
+
 def test_update_invalidates_and_answers_track_new_state():
     svc = make_service()
     assert (1, 9) not in svc.query("Q(X, Y) :- T(X, Y).").tuples
