@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Container, Hashable, Iterable, Iterator
 
 from repro.csp.instance import Constraint, CSPInstance
-from repro.relational.interning import bit_positions, encode_instance
+from repro.relational.interning import Codec, bit_positions
 from repro.relational.relation import Relation
 from repro.telemetry.registry import counter_delta, snapshot
 from repro.telemetry.spans import span
@@ -554,15 +554,16 @@ class _BitsetConstraint:
 
     __slots__ = ("scope", "arity", "position", "allowed_mask", "partner_masks", "candidates")
 
-    def __init__(self, constraint: Constraint, n_codes: int):
-        self.scope = constraint.scope
-        self.arity = constraint.arity
+    def __init__(
+        self, scope: tuple[Any, ...], rows: frozenset[tuple[int, ...]], n_codes: int
+    ):
+        self.scope = scope
+        self.arity = len(scope)
         # Normalized scopes have distinct variables, so positions are unique.
-        self.position = {v: i for i, v in enumerate(self.scope)}
+        self.position = {v: i for i, v in enumerate(scope)}
         self.allowed_mask = 0
         self.partner_masks: tuple[list[int], list[int]] | None = None
         self.candidates: list[list[list[tuple[int, ...]]]] | None = None
-        rows = constraint.relation
         if self.arity == 1:
             mask = 0
             for row in rows:
@@ -656,23 +657,39 @@ class InternedEngine(PropagationEngine):
     Callers that build one should charge ``intern_tables += 1`` and
     ``bitset_words += engine.bitset_words`` to their stats object, so the
     representation cost stays visible next to the ``mask_ops`` it buys.
+
+    The instance's rows are validated already, so the engine encodes them
+    in one pass through the codec's value → code map: ``code_constraints``
+    holds one ``(scope, code rows)`` pair per constraint, in instance
+    order, and every code-space consumer (the revision structures, MAC's
+    per-node consistency check) reads those rows.
     """
 
     def __init__(self, instance: CSPInstance):
         if not instance.is_normalized():
             instance = instance.normalize()
         self.instance = instance
-        self.encoded, self.codec = encode_instance(instance)
+        self.codec = Codec(instance.domain)
+        code = self.codec.code_map.__getitem__
+        self.code_constraints: list[tuple[tuple[Any, ...], frozenset[tuple[int, ...]]]] = [
+            (c.scope, frozenset([tuple(map(code, row)) for row in c.relation]))
+            for c in instance.constraints
+        ]
         n = len(self.codec)
         self.full_mask = (1 << n) - 1
         self.bitset_words = len(instance.variables) * ((n + 63) // 64 if n else 0)
-        self.constraints = [
-            _BitsetConstraint(c, n) for c in self.encoded.constraints
-        ]
+        self.constraints = self._prepare(n)
         self.constraints_on = {v: [] for v in instance.variables}
         for bc in self.constraints:
             for v in bc.scope:
                 self.constraints_on[v].append(bc)
+
+    def _prepare(self, n_codes: int) -> list[Any]:
+        """The revision structure of each code-space constraint."""
+        return [
+            _BitsetConstraint(scope, rows, n_codes)
+            for scope, rows in self.code_constraints
+        ]
 
     def charge_build(self, stats: PropagationStats) -> None:
         stats.intern_tables += 1
@@ -776,18 +793,19 @@ class _ColumnarConstraint:
         "_np",
     )
 
-    def __init__(self, constraint: Constraint, n_codes: int, np):
-        self.scope = constraint.scope
-        self.arity = constraint.arity
+    def __init__(
+        self, scope: tuple[Any, ...], rows: frozenset[tuple[int, ...]], n_codes: int, np
+    ):
+        self.scope = scope
+        self.arity = len(scope)
         # Normalized scopes have distinct variables, so positions are unique.
-        self.position = {v: i for i, v in enumerate(self.scope)}
+        self.position = {v: i for i, v in enumerate(scope)}
         self.n_codes = n_codes
         self.n_bytes = (n_codes + 7) // 8
         self._np = np
         self.allowed_mask = 0
         self.pair_bits = None
         self.rows_matrix = None
-        rows = constraint.relation
         if self.arity == 1:
             mask = 0
             for row in rows:
@@ -881,20 +899,16 @@ class ColumnarEngine(InternedEngine):
     transparently on numpy-free installs.
     """
 
-    def __init__(self, instance: CSPInstance):
-        super().__init__(instance)
+    def _prepare(self, n_codes: int) -> list[Any]:
         from repro.relational.columnar import numpy_backend
 
         np = numpy_backend()
-        n = len(self.codec)
-        if np is not None and n:
-            self.constraints = [
-                _ColumnarConstraint(c, n, np) for c in self.encoded.constraints
-            ]
-            self.constraints_on = {v: [] for v in self.instance.variables}
-            for cc in self.constraints:
-                for v in cc.scope:
-                    self.constraints_on[v].append(cc)
+        if np is None or not n_codes:
+            return super()._prepare(n_codes)
+        return [
+            _ColumnarConstraint(scope, rows, n_codes, np)
+            for scope, rows in self.code_constraints
+        ]
 
 
 def make_engine(instance: CSPInstance, strategy: str) -> PropagationEngine:

@@ -196,7 +196,13 @@ class CSPInstance:
         ``R`` that agree on the repeated positions and projecting out the
         duplicates; same-scope constraints are intersected.  The solution set
         is preserved exactly.
+
+        An already normalized instance is returned itself: instances are
+        immutable, and rebuilding one would reproduce the same constraints
+        in the same order.
         """
+        if self.is_normalized():
+            return self
         by_scope: dict[tuple[Any, ...], frozenset[tuple[Any, ...]]] = {}
         for c in self._constraints:
             scope, relation = _deduplicate_scope(c.scope, c.relation)
@@ -209,12 +215,10 @@ class CSPInstance:
 
     def is_normalized(self) -> bool:
         """Whether every scope has distinct variables and occurs at most once."""
-        seen: set[tuple[Any, ...]] = set()
-        for c in self._constraints:
-            if len(set(c.scope)) != len(c.scope) or c.scope in seen:
-                return False
-            seen.add(c.scope)
-        return True
+        scopes = [c.scope for c in self._constraints]
+        return len(set(scopes)) == len(scopes) and all(
+            len(set(scope)) == len(scope) for scope in scopes
+        )
 
     def __repr__(self) -> str:
         return (

@@ -324,13 +324,6 @@ def _search_with_stats(
     prop = stats.propagation
     assignment: dict[Any, Any] = {}
 
-    degree = {
-        v: len(instance.constraints_on(v)) for v in instance.variables
-    }
-    # Hoisted tie-break rank: monotone with repr(v), so the MRV selection
-    # below is identical to the historical per-node repr comparison.
-    var_rank = {v: i for i, v in enumerate(sorted(instance.variables, key=repr))}
-
     engine: PropagationEngine | None = None
     if inference is Inference.MAC and strategy != "naive":
         engine = make_engine(instance, strategy)
@@ -344,13 +337,25 @@ def _search_with_stats(
         # historical per-node ``sorted(domain, key=repr)``.
         ordered_domain = sorted(instance.domain, key=repr)
 
-    # In interned mode the assignment holds codes, so node-consistency checks
-    # must run against the code-space constraint relations.
-    search_constraints = (
-        engine.encoded.constraints
+    # Node-consistency checks read each variable's (scope, rows) pairs.  In
+    # interned mode the assignment holds codes, so the rows are the engine's
+    # code-space rows.
+    checks: dict[Any, list[tuple[tuple[Any, ...], frozenset]]] = {
+        v: [] for v in instance.variables
+    }
+    for scope, rows in (
+        engine.code_constraints
         if isinstance(engine, InternedEngine)
-        else instance.constraints
-    )
+        else [(c.scope, c.relation) for c in instance.constraints]
+    ):
+        for v in scope:
+            checks[v].append((scope, rows))
+    # Normalized scopes have distinct variables, so this is the number of
+    # constraints on each variable.
+    degree = {v: len(on) for v, on in checks.items()}
+    # Hoisted tie-break rank: monotone with repr(v), so the MRV selection
+    # below is identical to the historical per-node repr comparison.
+    var_rank = {v: i for i, v in enumerate(sorted(instance.variables, key=repr))}
 
     def trailed_prunings(trail: list[tuple[Any, Any]]) -> int:
         return sum(engine.count(removed) for _, removed in trail)
@@ -389,6 +394,78 @@ def _search_with_stats(
             close_batch()
             open_batch()
 
+    if engine is not None:
+        def dsize(v: Any) -> int:
+            return engine.domain_size(domains, v)
+
+        def value_order(variable: Any) -> list[Any]:
+            return engine.domain_values(domains, variable)
+    else:
+        def dsize(v: Any) -> int:
+            return len(domains[v])
+
+        def value_order(variable: Any) -> list[Any]:
+            current = domains[variable]
+            return [x for x in ordered_domain if x in current]
+
+    def select_variable() -> Any:
+        unassigned = [v for v in instance.variables if v not in assignment]
+        return min(unassigned, key=lambda v: (dsize(v), -degree[v], var_rank[v]))
+
+    def consistent(variable: Any) -> bool:
+        for scope, rows in checks[variable]:
+            for v in scope:
+                if v not in assignment:
+                    break
+            else:
+                if tuple([assignment[v] for v in scope]) not in rows:
+                    return False
+        return True
+
+    def search() -> bool:
+        if len(assignment) == len(instance.variables):
+            return True
+        variable = select_variable()
+        for value in value_order(variable):
+            tick_node()
+            assignment[variable] = value
+            if consistent(variable):
+                if engine is not None:
+                    # Trail-based undo: the assignment restriction is the
+                    # first trail entry (not counted as a pruning), then
+                    # the engine records every propagation deletion.
+                    trail = [(variable, engine.pin(domains, variable, value))]
+                    ok = engine.propagate(
+                        domains,
+                        engine.arcs_from([variable], skip=assignment),
+                        prop,
+                        trail=trail,
+                        skip=assignment,
+                    )
+                    stats.prunings += trailed_prunings(trail[1:])
+                    if ok and search():
+                        return True
+                    engine.restore(domains, trail, prop)
+                else:
+                    saved = {v: set(d) for v, d in domains.items()}
+                    domains[variable] = {value}
+                    ok = True
+                    if inference is Inference.FORWARD_CHECKING:
+                        ok = _forward_check(
+                            instance, variable, domains, assignment, stats
+                        )
+                    elif inference is Inference.MAC:
+                        ok = _ac3(
+                            instance, domains, assignment, stats, seeds=[variable]
+                        )
+                    if ok and search():
+                        return True
+                    domains.clear()
+                    domains.update(saved)
+            del assignment[variable]
+            stats.backtracks += 1
+        return False
+
     # Unary constraints and empty relations are handled up front by a root
     # propagation pass (harmless for NONE since it only tightens domains).
     try:
@@ -413,74 +490,6 @@ def _search_with_stats(
                     if not domains[var]:
                         return stats
 
-        if engine is not None:
-            def dsize(v: Any) -> int:
-                return engine.domain_size(domains, v)
-
-            def value_order(variable: Any) -> list[Any]:
-                return engine.domain_values(domains, variable)
-        else:
-            def dsize(v: Any) -> int:
-                return len(domains[v])
-
-            def value_order(variable: Any) -> list[Any]:
-                current = domains[variable]
-                return [x for x in ordered_domain if x in current]
-
-        def select_variable() -> Any:
-            unassigned = [v for v in instance.variables if v not in assignment]
-            return min(unassigned, key=lambda v: (dsize(v), -degree[v], var_rank[v]))
-
-        def consistent(variable: Any) -> bool:
-            for c in search_constraints:
-                if variable in c.scope and not c.consistent_with(assignment):
-                    return False
-            return True
-
-        def search() -> bool:
-            if len(assignment) == len(instance.variables):
-                return True
-            variable = select_variable()
-            for value in value_order(variable):
-                tick_node()
-                assignment[variable] = value
-                if consistent(variable):
-                    if engine is not None:
-                        # Trail-based undo: the assignment restriction is the
-                        # first trail entry (not counted as a pruning), then
-                        # the engine records every propagation deletion.
-                        trail = [(variable, engine.pin(domains, variable, value))]
-                        ok = engine.propagate(
-                            domains,
-                            engine.arcs_from([variable], skip=assignment),
-                            prop,
-                            trail=trail,
-                            skip=assignment,
-                        )
-                        stats.prunings += trailed_prunings(trail[1:])
-                        if ok and search():
-                            return True
-                        engine.restore(domains, trail, prop)
-                    else:
-                        saved = {v: set(d) for v, d in domains.items()}
-                        domains[variable] = {value}
-                        ok = True
-                        if inference is Inference.FORWARD_CHECKING:
-                            ok = _forward_check(
-                                instance, variable, domains, assignment, stats
-                            )
-                        elif inference is Inference.MAC:
-                            ok = _ac3(
-                                instance, domains, assignment, stats, seeds=[variable]
-                            )
-                        if ok and search():
-                            return True
-                        domains.clear()
-                        domains.update(saved)
-                del assignment[variable]
-                stats.backtracks += 1
-            return False
-
         if traced:
             open_batch()
         try:
@@ -498,6 +507,11 @@ def _search_with_stats(
             )
         return stats
     finally:
+        # ``search`` refers to itself through its closure.  Dropping that
+        # reference lets reference counting free the whole solve (engine,
+        # domains, trail) on return instead of leaving it to the cyclic
+        # garbage collector.
+        del search
         close_batch()
         publish(prop)
 

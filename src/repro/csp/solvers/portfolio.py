@@ -11,11 +11,20 @@ Routing order (first match wins):
 
 1. empty/trivial instances — answered directly;
 2. Boolean instances in a Schaefer class — the dedicated polynomial solver;
-3. prime-field instances whose relations are all cosets — GF(p) elimination;
+3. instances over a whole prime field {0..p−1} whose relations are all
+   cosets — GF(p) elimination;
 4. acyclic constraint hypergraphs — Yannakakis;
 5. constraint graphs of small treewidth (heuristic width ≤ ``width_cutoff``)
    — tree-decomposition DP;
-6. everything else — MAC backtracking.
+6. everything else — MAC backtracking on bitset domains
+   (``strategy="interned"``: the same search tree as the default
+   ``"residual"`` engine, with revisions as word operations).
+
+Routes 4 and 5 are gated by the constraint graph's degeneracy, computed
+once.  A degeneracy at least the largest arity rules out acyclicity, and
+one above ``width_cutoff`` rules out the treewidth route, so the GYO
+reduction and the elimination heuristics only run when they can succeed.
+The gate never changes a route.
 
 :func:`explain` returns the route that would be taken, for observability.
 """
@@ -48,22 +57,39 @@ class Route:
 
 
 def _domain_prime(instance: CSPInstance) -> int | None:
-    """The smallest prime p with domain ⊆ {0..p−1}, if any."""
+    """The prime p whose field {0..p−1} is exactly the domain, if any.
+
+    GF(p) elimination sets free variables to 0 and may pick any field
+    element, so it needs the whole field as the domain.  Over a strict
+    subset of the field a coset can only be a single tuple, so no instance
+    loses a fast path.
+    """
     values = instance.domain
-    if not all(isinstance(v, int) and v >= 0 for v in values):
-        return None
-    for p in _PRIMES:
-        if all(v < p for v in values):
-            return p
+    p = len(values)
+    if (
+        p in _PRIMES
+        and all(isinstance(v, int) for v in values)
+        and values == frozenset(range(p))
+    ):
+        return p
     return None
 
 
 def explain(instance: CSPInstance, width_cutoff: int = DEFAULT_WIDTH_CUTOFF) -> str:
-    """The route :func:`solve` would take, without solving."""
+    """The route :func:`solve` would take, without solving.
+
+    The constraint graph's degeneracy gates the two structural tests
+    without changing any route.  Degeneracy ≤ treewidth ≤ the heuristic
+    bound, so a degeneracy above ``width_cutoff`` rules out the treewidth
+    route.  An acyclic hypergraph's join tree is a tree decomposition whose
+    bags are hyperedges, so its degeneracy is below the largest edge: a
+    degeneracy at least that large rules out the acyclic route.
+    """
     from repro.dichotomy.coset import is_coset_instance
     from repro.dichotomy.schaefer import classify_instance, is_tractable
     from repro.width.acyclic import is_acyclic
     from repro.width.gaifman import constraint_graph, instance_hypergraph
+    from repro.width.lowerbounds import degeneracy
     from repro.width.treedecomp import treewidth_upper_bound
 
     instance = instance.normalize()
@@ -74,9 +100,16 @@ def explain(instance: CSPInstance, width_cutoff: int = DEFAULT_WIDTH_CUTOFF) -> 
     p = _domain_prime(instance)
     if p is not None and p > 2 and is_coset_instance(instance, p):
         return Route.COSET
-    if is_acyclic([e for e in instance_hypergraph(instance) if e]):
+    graph = constraint_graph(instance)
+    width = degeneracy(graph)
+    # Normalized scopes have distinct variables: the largest arity is the
+    # largest hyperedge, and 0 means there are no non-empty hyperedges.
+    largest = instance.max_arity()
+    if (largest == 0 or width < largest) and is_acyclic(
+        [e for e in instance_hypergraph(instance) if e]
+    ):
         return Route.ACYCLIC
-    if treewidth_upper_bound(constraint_graph(instance)) <= width_cutoff:
+    if width <= width_cutoff and treewidth_upper_bound(graph) <= width_cutoff:
         return Route.TREEWIDTH
     return Route.SEARCH
 
@@ -109,7 +142,7 @@ def solve(
         return yannakakis_solve(instance)
     if route == Route.TREEWIDTH:
         return decomposition.solve(instance)
-    return backtracking.solve(instance)
+    return backtracking.solve(instance, strategy="interned")
 
 
 def is_solvable(

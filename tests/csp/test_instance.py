@@ -121,6 +121,20 @@ class TestNormalization:
         rep = CSPInstance(["x"], [0, 1], [Constraint(("x", "x"), [(0, 0)])])
         assert not rep.is_normalized()
 
+    def test_normalize_returns_normalized_input_itself(self):
+        inst = CSPInstance(["x", "y"], [0, 1], [Constraint(("x", "y"), NE)])
+        assert inst.normalize() is inst
+
+    def test_normalize_copies_input_that_is_not_normalized(self):
+        dup = CSPInstance(
+            ["x", "y"], [0, 1], [Constraint(("x", "y"), NE), Constraint(("y", "y"), [(0, 0)])]
+        )
+        norm = dup.normalize()
+        assert norm is not dup and norm.is_normalized()
+        assert [c.scope for c in dup.constraints] == [("x", "y"), ("y", "y")]
+        assert [c.scope for c in norm.constraints] == [("x", "y"), ("y",)]
+        assert norm.normalize() is norm
+
     def test_normalize_is_idempotent(self):
         inst = CSPInstance(
             ["x", "y"], [0, 1], [Constraint(("x", "y"), NE), Constraint(("x", "y"), NE)]
@@ -153,6 +167,8 @@ def test_normalize_preserves_solution_set(instance):
 
     norm = instance.normalize()
     assert norm.is_normalized()
+    assert norm.normalize() is norm
+    assert (norm is instance) == instance.is_normalized()
     for values in product([0, 1], repeat=len(instance.variables)):
         assignment = dict(zip(instance.variables, values))
         assert instance.is_solution(assignment) == norm.is_solution(assignment)

@@ -5,14 +5,16 @@ Theorem 6.2 (tree decomposition) are all exercised against the brute-force
 oracle and against each other.
 """
 
+import gc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.consistency.propagation import PROPAGATION_STRATEGIES
 from repro.csp.instance import Constraint, CSPInstance
-from repro.csp.solvers import backtracking, brute, consistency, decomposition, join
+from repro.csp.solvers import backtracking, brute, consistency, decomposition, join, portfolio
 from repro.csp.solvers.backtracking import Inference
 from repro.csp.solvers.consistency import Verdict
 from repro.errors import UnsatisfiableError
@@ -202,3 +204,26 @@ def test_solutions_produced_are_valid(instance):
         solution = solver(instance)
         if solution is not None:
             assert instance.normalize().is_solution(solution)
+
+
+def test_solves_leave_no_cyclic_garbage():
+    """A solve is freed by reference counting alone: the search closure does
+    not keep its engine, domains and trail alive in a reference cycle."""
+    inst = random_binary_csp(12, 4, 30, 0.35, seed=5)
+    assert portfolio.explain(inst) == portfolio.Route.SEARCH
+
+    def solve_every_way() -> None:
+        portfolio.solve(inst)
+        for inference in Inference:
+            for strategy in PROPAGATION_STRATEGIES:
+                stats = backtracking.solve_with_stats(inst, inference, strategy)
+                assert stats.nodes > 0
+
+    solve_every_way()  # first calls may import lazily
+    gc.disable()
+    try:
+        gc.collect()
+        solve_every_way()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -15,6 +15,7 @@ The codec contract the execution layer leans on:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consistency.propagation import ColumnarEngine, InternedEngine
 from repro.csp.instance import Constraint, CSPInstance
 from repro.errors import DomainError
 from repro.relational.interning import (
@@ -137,6 +138,12 @@ def test_instance_roundtrip(domain_values, n_vars, data):
     assert restored.variables == instance.variables
     assert restored.domain == instance.domain
     assert set(restored.constraints) == set(instance.constraints)
+    # The bitset engines encode the rows in one pass; they must agree with
+    # the instance-level encoding, constraint for constraint.
+    norm = instance.normalize()
+    expected = [(c.scope, c.relation) for c in encode_instance(norm)[0].constraints]
+    for engine in (InternedEngine(instance), ColumnarEngine(instance)):
+        assert engine.code_constraints == expected
 
 
 def test_shared_codec_reuse():

@@ -268,15 +268,25 @@ def test_mac_strategies_agree_and_solutions_valid(seed):
     solution found must actually solve the instance, and all strategies
     return the *identical* solution — they explore the same search tree
     (the interned engine enumerates codes in ascending order, which is the
-    original values' repr order)."""
+    original values' repr order).  The trees themselves are pinned too:
+    every strategy visits the same nodes and backtracks, and the three
+    engines prune the same values (the naive AC-3 may stop at a wipeout
+    after a different number of deletions, so its ``prunings`` can
+    differ)."""
     inst = random_instance(seed + 8000)
     norm = inst.normalize()
     solutions = {}
+    trees = {}
     for strategy in ("naive", "residual", "interned", "columnar"):
         stats = backtracking.solve_with_stats(inst, Inference.MAC, strategy=strategy)
         solutions[strategy] = stats.solution
+        trees[strategy] = (stats.nodes, stats.backtracks, stats.prunings)
         if stats.solution is not None:
             assert norm.is_solution(stats.solution), f"{strategy}, seed {seed}"
+    assert len({tree[:2] for tree in trees.values()}) == 1, f"{trees}, seed {seed}"
+    assert trees["residual"] == trees["interned"] == trees["columnar"], (
+        f"{trees}, seed {seed}"
+    )
     solutions["parallel"] = backtracking.solve_with_stats(
         inst, Inference.MAC, workers=2
     ).solution
