@@ -3,12 +3,14 @@
 ``Q(D)`` is computed by the textbook join plan: translate each body atom to
 a relation over its variables (selecting on constants and repeated
 variables), natural-join everything, and project onto the distinguished
-variables.  Proposition 2.1's join-evaluation view of CSP is the Boolean
-special case.
+variables — on the default route the projection happens during the join,
+each variable dropped once no later atom needs it.  Proposition 2.1's
+join-evaluation view of CSP is the Boolean special case.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator
 
 from repro.cq.query import Atom, ConjunctiveQuery, Var
@@ -118,7 +120,10 @@ def translate_atom(atom: Atom, rows: frozenset[tuple[Any, ...]]) -> Relation:
 
 
 def _body_join(
-    query: ConjunctiveQuery, database: Structure, strategy: str | None = None
+    query: ConjunctiveQuery,
+    database: Structure,
+    strategy: str | None = None,
+    attributes: tuple[str, ...] | None = None,
 ) -> Relation:
     """Join the body atoms.  ``strategy`` picks the join order and execution
     (see :func:`repro.relational.planner.parse_strategy`): ``"textbook"`` is
@@ -128,7 +133,12 @@ def _body_join(
     hypergraph (:mod:`repro.width`): acyclic bodies go through Yannakakis'
     semijoin reducer, **cyclic** bodies through the worst-case optimal
     leapfrog triejoin — the regime where every pairwise plan is
-    AGM-suboptimal — and the default plan covers the rest."""
+    AGM-suboptimal — and the default plan covers the rest.
+
+    ``attributes``, when given, names the columns to project onto; every
+    route but ``"auto"`` hands it to :func:`join_all`, whose indexed fold
+    then drops each variable as soon as no later atom mentions it.  The
+    ``"auto"`` route ignores it and joins over every variable."""
     if strategy == "auto":
         relations = _atom_relations(query, database)
         route = _auto_route(query, relations)
@@ -140,7 +150,9 @@ def _body_join(
 
         return leapfrog_join(relations)
     return join_all(
-        (atom_relation(atom, database) for atom in query.body), strategy=strategy
+        (atom_relation(atom, database) for atom in query.body),
+        strategy=strategy,
+        attributes=attributes,
     )
 
 
@@ -253,12 +265,28 @@ def evaluate(
     :data:`COLUMNAR_AUTO_THRESHOLD` rows and numpy is available — while
     cyclic ones run the worst-case optimal leapfrog triejoin
     (:mod:`repro.relational.wcoj`).
+
+    Every other strategy hands the head to :func:`join_all`, so the
+    default indexed fold projects while it joins: a variable is dropped as
+    soon as neither the head nor a later atom mentions it, no intermediate
+    is larger than the join over its live variables, and the final
+    ``project`` is the identity.  A single-atom body whose variables are
+    the head, in order, returns the atom's relation itself.
+
+    The answer's columns are :meth:`~repro.cq.query.ConjunctiveQuery.answer_columns`:
+    a head variable written twice (``Q(X, X)``) repeats its column under a
+    derived name.
     """
     with span(
         "cq.evaluate", query=query.head_name, strategy=strategy or "default"
     ) as sp:
-        joined = _body_join(query, database, strategy)
-        result = project(joined, tuple(v.name for v in query.distinguished))
+        variables = tuple(dict.fromkeys(v.name for v in query.distinguished))
+        joined = _body_join(query, database, strategy, attributes=variables)
+        result = project(joined, variables)
+        columns = query.answer_columns()
+        if len(columns) > len(variables):
+            expand = itemgetter(*(variables.index(v.name) for v in query.distinguished))
+            result = Relation.from_trusted_rows(columns, frozenset(map(expand, result)))
         if sp:
             sp.note(rows=len(result))
         return result

@@ -98,6 +98,26 @@ class ConjunctiveQuery:
     def is_boolean(self) -> bool:
         return not self._distinguished
 
+    def answer_columns(self) -> tuple[str, ...]:
+        """The column names of the query's answer relation, one per head
+        position.
+
+        A head variable's first occurrence names its column; its ``n``-th
+        occurrence is named ``"<name>#<n>"``, which the parser never
+        produces (variables are identifiers), so the scheme stays distinct
+        without clashing with a body variable.
+
+        >>> from repro.cq.parser import parse_query
+        >>> parse_query("Q(X, Y, X) :- E(X, Y).").answer_columns()
+        ('X', 'Y', 'X#2')
+        """
+        seen: dict[Var, int] = {}
+        columns = []
+        for v in self._distinguished:
+            n = seen[v] = seen.get(v, 0) + 1
+            columns.append(v.name if n == 1 else f"{v.name}#{n}")
+        return tuple(columns)
+
     def variables(self) -> tuple[Var, ...]:
         """All variables, distinguished first, then by first body occurrence."""
         out = list(self._distinguished)

@@ -167,13 +167,15 @@ class ResultCache:
 
     @staticmethod
     def _rename(result: Relation, probe: ConjunctiveQuery) -> Relation:
-        """The cached relation viewed over the probe's head variable names.
+        """The cached relation viewed over the probe's answer columns
+        (:meth:`~repro.cq.query.ConjunctiveQuery.answer_columns`).
 
         O(1): :meth:`Relation.renamed` shares the cached rows and their
         memoized indexes, so a hit never touches the data (columns
         correspond positionally; equal canonical keys guarantee matching
-        head shapes, so the renaming is always well-formed)."""
-        return result.renamed(v.name for v in probe.distinguished)
+        head shapes, repeated head variables included, so the renaming is
+        always well-formed)."""
+        return result.renamed(probe.answer_columns())
 
     # -- store / invalidate ---------------------------------------------------
 

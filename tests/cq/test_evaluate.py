@@ -14,6 +14,7 @@ from repro.cq.evaluate import (
 from repro.cq.parser import parse_atom, parse_query
 from repro.cq.query import Var
 from repro.errors import VocabularyError
+from repro.relational.planner import EXECUTIONS, STRATEGIES
 from repro.relational.relation import Relation
 from repro.relational.structure import Structure
 
@@ -141,3 +142,30 @@ def test_atom_shape_ignores_variable_names_only():
 def test_atom_with_the_wrong_arity_is_rejected():
     with pytest.raises(VocabularyError):
         atom_relation(parse_atom("E(X)"), PATH)
+
+
+REPEATED_HEADS = [
+    "Q(X, X) :- E(X, Y).",
+    "Q(X, Y, X) :- E(X, Y), E(Y, Z).",
+    "Q(Y, X, Y, Y) :- E(X, Y), E(Y, X).",
+    "Q(X, X) :- E(X, Y), E(Y, Z), E(Z, X).",
+]
+
+
+@pytest.mark.parametrize("text", REPEATED_HEADS)
+def test_repeated_head_variables_match_the_scan_oracle(text):
+    """A head variable written twice repeats its column: the first
+    occurrence keeps the variable's name, each repeat gets a derived one,
+    and every strategy returns the rows of the textbook nested-loop plan."""
+    query = parse_query(text)
+    database = db([(1, 2), (2, 1), (2, 3), (3, 1), (3, 3)])
+    oracle = evaluate(query, database, strategy="textbook+scan")
+    assert oracle.attributes == query.answer_columns()
+    assert len(set(oracle.attributes)) == len(query.distinguished)
+    assert oracle  # every query above has answers on this database
+    for row in oracle:
+        for i, v in enumerate(query.distinguished):
+            assert row[i] == row[query.distinguished.index(v)]
+    specs = list(STRATEGIES) + list(EXECUTIONS) + ["auto"]
+    for spec in specs:
+        assert evaluate(query, database, strategy=spec) == oracle, spec

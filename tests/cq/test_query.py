@@ -96,3 +96,11 @@ class TestParser:
     def test_negative_integer_constant(self):
         a = parse_atom("R(-5)")
         assert a.terms == (-5,)
+
+
+def test_answer_columns_name_repeats_apart():
+    assert parse_query("Q(X, Y) :- E(X, Y).").answer_columns() == ("X", "Y")
+    assert parse_query("Q(X, Y, X, X) :- E(X, Y).").answer_columns() == (
+        "X", "Y", "X#2", "X#3",
+    )
+    assert parse_query("Q() :- E(X, Y).").answer_columns() == ()

@@ -1,0 +1,183 @@
+"""The projected fold: ``join_all(..., attributes=A)`` is ``π_A`` of the join.
+
+Under the indexed execution the projection is pushed into the fold — each
+step keeps only the columns the answer or a later operand still mentions —
+and every other execution projects once at the end.  Either way the result
+must be exactly ``project(join_all(rels, s), A)``, for every order and
+execution, including empty operands, operands sharing no attribute
+(Cartesian steps), the empty answer scheme, and answer schemes that reorder
+the joined columns.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cq.evaluate import atom_relation, evaluate
+from repro.cq.parser import parse_query
+from repro.datalog.library import transitive_closure_program
+from repro.datalog.parser import parse_program
+from repro.errors import SchemaError, VocabularyError
+from repro.relational.algebra import join_all, project
+from repro.relational.planner import EXECUTIONS, STRATEGIES
+from repro.relational.relation import Relation
+from repro.relational.stats import collect_stats
+from repro.service.core import QueryService
+
+SPECS = [f"{order}+{execution}" for order in STRATEGIES for execution in EXECUTIONS]
+
+# "a".."d" overlap often; "e" and "f" give operands sharing no attribute.
+ATTRS = ("a", "b", "c", "d", "e", "f")
+VALUES = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def operands(draw):
+    """One to four relations over small schemes, sometimes one of them
+    empty, sometimes two of them disconnected from each other."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    relations = []
+    for _ in range(count):
+        arity = draw(st.integers(min_value=1, max_value=3))
+        scheme = draw(st.permutations(ATTRS).map(lambda p: tuple(p[:arity])))
+        rows = draw(st.lists(st.tuples(*[VALUES] * arity), max_size=6))
+        relations.append(Relation(scheme, rows))
+    if draw(st.booleans()):
+        victim = draw(st.integers(min_value=0, max_value=count - 1))
+        relations[victim] = Relation.empty(relations[victim].attributes)
+    return relations
+
+
+@st.composite
+def fold_cases(draw):
+    """Operands plus an answer scheme: a reordered subset of the joined
+    scheme, possibly empty."""
+    relations = draw(operands())
+    joined = sorted({a for r in relations for a in r.attributes})
+    answer = draw(st.permutations(joined))
+    size = draw(st.integers(min_value=0, max_value=len(joined)))
+    return relations, tuple(answer[:size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_cases())
+def test_projected_fold_is_the_projected_join(case):
+    relations, answer = case
+    for spec in SPECS:
+        expected = project(join_all(relations, spec), answer)
+        assert join_all(relations, spec, attributes=answer) == expected, spec
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize(
+    "relations, answer",
+    [
+        # A chain with the middle variable dead after the second step.
+        (
+            [
+                Relation(("x", "y"), [(1, 2), (2, 3), (3, 4)]),
+                Relation(("y", "z"), [(2, 5), (3, 6), (3, 7)]),
+                Relation(("z", "w"), [(5, 8), (7, 9)]),
+            ],
+            ("w", "x"),
+        ),
+        # Disconnected operands: a Cartesian step, and a Boolean answer.
+        (
+            [Relation(("x",), [(1,), (2,)]), Relation(("y",), [(3,), (4,)])],
+            (),
+        ),
+        (
+            [Relation(("x",), [(1,), (2,)]), Relation(("y",), [(3,), (4,)])],
+            ("y", "x"),
+        ),
+        # An empty operand empties the answer whatever it projects onto.
+        (
+            [Relation(("x", "y"), [(1, 2)]), Relation.empty(("y", "z"))],
+            ("z",),
+        ),
+        (
+            [Relation(("x", "y"), [(1, 2)]), Relation.empty(("y", "z"))],
+            (),
+        ),
+        # Interleaved answer columns from both sides of the last step.
+        (
+            [
+                Relation(("x", "y"), [(1, 2), (1, 3)]),
+                Relation(("y", "z", "w"), [(2, 4, 5), (3, 6, 7)]),
+            ],
+            ("z", "x", "w", "y"),
+        ),
+    ],
+)
+def test_projected_fold_examples(relations, answer, spec):
+    expected = project(join_all(relations, spec), answer)
+    assert join_all(relations, spec, attributes=answer) == expected
+
+
+def test_projected_fold_rejects_bad_answer_schemes():
+    relations = [Relation(("x", "y"), [(1, 2)]), Relation(("y", "z"), [(2, 3)])]
+    for spec in SPECS:
+        with pytest.raises(VocabularyError):
+            join_all(relations, spec, attributes=("q",))
+        with pytest.raises(SchemaError):
+            join_all(relations, spec, attributes=("x", "x"))
+
+
+def test_identity_projection_returns_the_operand():
+    r = Relation(("x", "y"), [(1, 2), (1, 3)])
+    assert project(r, r.attributes) is r
+    assert project(r, ("y", "x")) == Relation(("y", "x"), [(2, 1), (3, 1)])
+
+
+def test_single_atom_body_returns_the_predicate_rows_themselves():
+    service = QueryService(transitive_closure_program(), {"E": {(1, 2), (2, 3)}})
+    database = service.engine.as_structure()
+    answer = evaluate(parse_query("Q(X, Y) :- T(X, Y)."), database)
+    assert answer.tuples is database.relation("T")
+    # A dead column still projects; a swapped head still reorders.
+    assert evaluate(parse_query("Q(X) :- T(X, Y)."), database).tuples == {(1,), (2,)}
+    assert evaluate(parse_query("Q(Y, X) :- T(X, Y)."), database).tuples == {
+        (2, 1), (3, 1), (3, 2)
+    }
+
+
+def test_dead_variables_leave_the_fold_on_the_serve_read_forest():
+    """``Q(Y) :- E(X, Y), T(Y, W)`` over the serve-read benchmark's seed-1
+    forest: the unprojected fold materializes ``E ⋈ T`` (5906 rows), the
+    projected one never holds more rows than ``E`` — with the same number
+    of recorded joins."""
+    from perfbench.workloads import FORESTS, TC_PROGRAM, forest_stream
+
+    edges, _ = forest_stream("serve-read", 1)
+    assert len(edges) == FORESTS["serve-read"]["nodes"] - 1
+    service = QueryService(parse_program(TC_PROGRAM, goal="T"), {"E": edges})
+    database = service.engine.as_structure()
+    query = parse_query("Q(Y) :- E(X, Y), T(Y, W).")
+
+    with collect_stats() as projected:
+        answer = evaluate(query, database)
+    relations = [atom_relation(atom, database) for atom in query.body]
+    with collect_stats() as unprojected:
+        joined = join_all(relations)
+    assert project(joined, ("Y",)) == answer
+    assert unprojected.max_intermediate == 5906
+    assert projected.max_intermediate <= len(edges)
+    assert projected.joins == unprojected.joins == 2
+    assert len(projected.intermediate_sizes) == len(unprojected.intermediate_sizes)
+
+
+def test_indexes_the_fold_builds_on_base_operands_are_index_on_indexes():
+    """A hash table the projected fold builds over an operand is published
+    into the operand's row memo: ``index_on`` then returns it, equal to the
+    index a fresh copy of the rows builds, and the next fold builds none."""
+    small = Relation(("x", "y"), [(1, 2), (1, 3), (2, 3)])
+    large = Relation(("y", "z"), [(2, 5), (3, 6), (3, 7), (4, 8)])
+    with collect_stats() as stats:
+        answer = join_all([small, large], attributes=("x", "z"))
+    assert stats.index_builds == 1
+    assert answer == project(join_all([small, large], "scan"), ("x", "z"))
+    assert small.has_index(("y",)) and not large.has_index(("y",))
+    copy = Relation(small.attributes, small.tuples)
+    assert small.index_on(("y",)) == copy.index_on(("y",))
+    with collect_stats() as again:
+        join_all([small, large], attributes=("x", "z"))
+    assert again.index_builds == 0

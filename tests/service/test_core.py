@@ -115,3 +115,17 @@ def test_accepts_parsed_query_objects():
     svc = make_service()
     q = parse_query("Q(X, Y) :- T(X, Y).")
     assert svc.ask(q).result.tuples == svc.ask("P(A, B) :- T(A, B).").result.tuples
+
+
+def test_repeated_head_variables_are_answered_and_cached():
+    """``Q(X, X)`` is answered (not rejected for a non-distinct scheme), and
+    a renamed variant is an equivalence hit over the same rows."""
+    svc = make_service()
+    first = svc.ask("Q(X, X) :- E(X, Y).")
+    assert first.outcome == "miss"
+    assert first.result.attributes == ("X", "X#2")
+    assert first.result.tuples == {(x, x) for x, _ in EDGES}
+    second = svc.ask("P(A, A) :- E(A, B), E(A, C).")
+    assert second.outcome == "equivalence"
+    assert second.result.attributes == ("A", "A#2")
+    assert second.result.tuples is first.result.tuples

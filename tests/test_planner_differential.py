@@ -22,8 +22,10 @@ from repro.generators.graphs import cycle_graph, path_graph, random_digraph
 from repro.generators.queries import chain_query, random_query, star_query
 from repro.relational.planner import EXECUTIONS, STRATEGIES
 
-# 120 CQ cases (seeds × head arities) + 81 CSP cases (seeds × tightness)
-# + the fixed structured families = ~210 generated instances.
+# 240 CQ cases (seeds × head arities) + 81 CSP cases (seeds × tightness)
+# + the fixed structured families = ~330 generated instances.  Head arities
+# 0 to 3 vary how many body variables the indexed fold can drop before its
+# last step.
 CQ_SEEDS = range(60)
 CSP_SEEDS = range(27)
 
@@ -41,7 +43,7 @@ ALL_SPECS = (
 CQ_SPECS = ALL_SPECS + ["auto"]
 
 
-@pytest.mark.parametrize("head_arity", [0, 2])
+@pytest.mark.parametrize("head_arity", [0, 1, 2, 3])
 @pytest.mark.parametrize("seed", CQ_SEEDS)
 def test_random_cq_strategies_agree(seed, head_arity):
     query = random_query(
