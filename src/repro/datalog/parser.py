@@ -83,10 +83,13 @@ def parse_rule(text: str) -> Rule:
     return rule
 
 
-def parse_program(text: str, goal: str) -> Program:
-    """Parse a whole program; ``goal`` designates the goal predicate."""
+def parse_program(text: str, goal: str | None = None) -> Program:
+    """Parse a whole program; ``goal`` designates the goal predicate, and
+    ``None`` takes the head predicate of the first rule."""
     cur = _Cursor(_tokenize(_COMMENT.sub("", text)))
     rules = []
     while cur.peek() is not None:
         rules.append(_parse_rule(cur))
+    if goal is None and rules:
+        goal = rules[0].head.predicate
     return Program(rules, goal)

@@ -83,6 +83,8 @@ def _load_program(path: str | None):
 
     if path is None:
         return transitive_closure_program()
+    # The service maintains every IDB predicate and never reads the goal,
+    # so parse_program's default (the first rule's head) serves.
     with open(path, encoding="utf-8") as fp:
         return parse_program(fp.read())
 

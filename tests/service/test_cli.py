@@ -84,6 +84,37 @@ def test_serve_answers_valid_json_it_cannot_handle_and_keeps_serving():
     assert [r["ok"] for r in responses] == [False] * len(bad) + [True]
 
 
+def test_serve_loads_a_program_file(tmp_path):
+    """``--program`` reads the file itself: no goal flag, the maintained
+    IDBs all answer, and counting deletion runs on a non-recursive file."""
+    closure = tmp_path / "closure.dl"
+    closure.write_text("T(X, Y) :- E(X, Y).\nT(X, Y) :- T(X, Z), E(Z, Y).\n")
+    responses = serve_session([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2], [2, 3]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+    ], program=str(closure))
+    assert [r["ok"] for r in responses] == [True, True]
+    assert responses[1]["rows"] == [[1, 2], [1, 3], [2, 3]]
+
+    two_hop = tmp_path / "two_hop.dl"
+    two_hop.write_text(
+        "% two hops, then a marker join\n"
+        "H(X, Z) :- E(X, Y), E(Y, Z).\n"
+        "M(X, Z) :- H(X, Z), L(X).\n"
+    )
+    responses = serve_session([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2], [2, 3], [3, 4]]}',
+        '{"op": "insert", "predicate": "L", "rows": [[2]]}',
+        '{"op": "query", "q": "Q(X, Z) :- M(X, Z)."}',
+        '{"op": "delete", "predicate": "E", "rows": [[3, 4]]}',
+        '{"op": "query", "q": "Q(X, Z) :- H(X, Z)."}',
+    ], program=str(two_hop), deletion="counting")
+    assert all(r["ok"] for r in responses)
+    assert responses[2]["rows"] == [[2, 4]]
+    assert responses[3]["dirty"] == ["E", "H", "M"]
+    assert responses[4]["rows"] == [[1, 3]]
+
+
 def test_serve_skips_blank_lines():
     responses = serve_session(["", '{"op": "stats"}', "   ", '{"op": "quit"}'])
     assert len(responses) == 2
