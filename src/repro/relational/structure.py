@@ -134,6 +134,33 @@ class Structure:
         self._hash: int | None = None
         self._derived: dict[Any, Any] = {}
 
+    @classmethod
+    def from_trusted(
+        cls,
+        vocabulary: Vocabulary,
+        domain: frozenset[Any],
+        relations: Mapping[str, frozenset[tuple]],
+    ) -> "Structure":
+        """Wrap already-validated parts without checking or copying them.
+
+        The caller vouches for the invariant the constructor establishes:
+        ``relations`` interprets exactly the symbols of ``vocabulary``,
+        each as a frozenset of tuples of the symbol's arity over values of
+        ``domain``.  The domain and the frozensets are shared, not copied —
+        only the mapping is, so the caller may go on rebinding its own.
+        Like :meth:`~repro.relational.relation.Relation.from_trusted_rows`
+        for relations, this is what lets
+        :meth:`~repro.datalog.incremental.IncrementalEvaluation.as_structure`
+        hand out each generation in O(delta + domain) instead of O(state).
+        """
+        structure = cls.__new__(cls)
+        structure._vocabulary = vocabulary
+        structure._domain = domain
+        structure._relations = dict(relations)
+        structure._hash = None
+        structure._derived = {}
+        return structure
+
     # -- accessors ---------------------------------------------------------
 
     @property
