@@ -10,6 +10,7 @@ from repro.cq.evaluate import (
     evaluate,
     evaluate_boolean,
     satisfying_assignments,
+    share_row_memo,
 )
 from repro.cq.parser import parse_atom, parse_query
 from repro.cq.query import Var
@@ -169,3 +170,17 @@ def test_repeated_head_variables_match_the_scan_oracle(text):
     specs = list(STRATEGIES) + list(EXECUTIONS) + ["auto"]
     for spec in specs:
         assert evaluate(query, database, strategy=spec) == oracle, spec
+
+
+def test_share_row_memo_serves_distinct_variable_atoms_from_the_shared_relation():
+    db = Structure({"E": 2}, {1, 2, 3}, {"E": {(1, 2), (2, 3)}})
+    with pytest.raises(ValueError):
+        share_row_memo(db, "E", Relation(("a", "b"), [(1, 2)]))
+    shared = Relation.from_trusted_rows(("a", "b"), db.relation("E"))
+    shared.index_on(("b",))
+    share_row_memo(db, "E", shared)
+    view = atom_relation(parse_atom("E(X, Y)"), db)
+    assert view.attributes == ("X", "Y")
+    assert view.row_memo is shared.row_memo and view.has_index(("Y",))
+    # Other shapes of the predicate still translate on their own.
+    assert atom_relation(parse_atom("E(X, X)"), db).row_memo is not shared.row_memo

@@ -150,6 +150,26 @@ def test_generation_bumps_and_structure_memo_refreshes():
     assert s1.relation("T") == inc.value("T")
 
 
+@pytest.mark.parametrize("read_between", [False, True])
+def test_structure_domain_follows_the_batches(read_between):
+    """The domain the structure carries is every value in some row, whether
+    it was counted once at the end or kept current batch by batch."""
+    from repro.relational.structure import Structure, Vocabulary
+
+    rng = random.Random(17)
+    inc = IncrementalEvaluation(TC, {}, deletion="dred")
+    batches, _ = random_stream(rng, nodes=7, n_batches=10)
+    for inserts, deletes in batches:
+        inc.apply(inserts, deletes)
+        if read_between:
+            inc.as_structure()
+    values = {**inc.edb_values(), **inc.idb_values()}
+    domain = {v for rows in values.values() for row in rows for v in row}
+    structure = inc.as_structure()
+    assert structure == Structure(Vocabulary(TC.arities()), domain, values)
+    assert structure.relation("T") is inc.value("T")
+
+
 def test_delete_then_insert_same_fact_in_one_batch_keeps_it():
     inc = IncrementalEvaluation(TC, {"E": {(1, 2)}})
     report = inc.apply(inserts={"E": {(1, 2)}}, deletes={"E": {(1, 2)}})
