@@ -563,7 +563,9 @@ def main(argv: list[str] | None = None) -> None:
     elif args.command == "trace":
         trace_command(args)
     elif args.command == "serve":
-        service_cli.run_serve(args)
+        status = service_cli.run_serve(args)
+        if status:
+            raise SystemExit(status)
     elif args.command == "bench-service":
         service_cli.run_bench_service(args)
     else:

@@ -11,11 +11,17 @@ join-evaluation view of CSP is the Boolean special case.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
 from repro.cq.query import Atom, ConjunctiveQuery, Var
 from repro.errors import VocabularyError
-from repro.relational.algebra import join_all, project, semijoin
+from repro.relational.algebra import (
+    DEFAULT_STRATEGY,
+    join_all,
+    project,
+    semijoin,
+    warm_join_indexes,
+)
 from repro.relational.relation import Relation
 from repro.relational.stats import current_stats
 from repro.relational.structure import Structure
@@ -26,6 +32,7 @@ __all__ = [
     "atom_shape",
     "evaluate",
     "evaluate_boolean",
+    "refresh_answer",
     "satisfying_assignments",
     "share_row_memo",
     "translate_atom",
@@ -306,13 +313,100 @@ def evaluate(
         variables = tuple(dict.fromkeys(v.name for v in query.distinguished))
         joined = _body_join(query, database, strategy, attributes=variables)
         result = project(joined, variables)
-        columns = query.answer_columns()
-        if len(columns) > len(variables):
-            expand = itemgetter(*(variables.index(v.name) for v in query.distinguished))
-            result = Relation.from_trusted_rows(columns, frozenset(map(expand, result)))
+        if len(query.distinguished) > len(variables):
+            expand = _expander(query, variables)
+            result = Relation.from_trusted_rows(
+                query.answer_columns(), frozenset(map(expand, result))
+            )
         if sp:
             sp.note(rows=len(result))
         return result
+
+
+def refresh_answer(
+    query: ConjunctiveQuery,
+    answer: Relation,
+    before: Structure,
+    after: Structure,
+    added: Mapping[str, frozenset],
+    removed: Mapping[str, frozenset],
+) -> Relation:
+    """``Q(after)`` from ``answer = Q(before)`` and the net rows each
+    predicate gained (``added``) and lost (``removed``) between the two
+    structures — the answer maintained as a materialized view, without
+    re-running the body's join.
+
+    With H the distinct head variables and ``S(seed, D)`` the seeded join
+    π_H(seed ⋈ the other body atoms over D):
+
+    * A = ⋃ᵢ S(atom i over its predicate's added rows, ``after``) — every
+      valuation that uses an inserted fact;
+    * C = ⋃ᵢ S(atom i over its removed rows, ``before``) ∩ ``answer`` − A —
+      the old answers that lost a valuation;
+    * K = π_H(C ⋈ every body atom over ``after``) — those still derived;
+    * the result is (``answer`` − (C − K)) ∪ A.
+
+    Each seeded join starts from its seed and probes the other atoms'
+    relations on the default fused fold, their join-key indexes warmed on
+    the structure (where a maintained structure's pools adopt them), so it
+    costs O(|Δ| · fan-out) whatever ``strategy`` the answer was first
+    evaluated with.  Self-joins only over-approximate A and C, and C is
+    re-checked by K.  A body whose answer is one atom's own relation is
+    re-read through :func:`evaluate`, which shares the rows in O(1).  The
+    result is a new relation (``answer`` itself when nothing changed) over
+    the same :meth:`~repro.cq.query.ConjunctiveQuery.answer_columns`.
+    """
+    variables = tuple(dict.fromkeys(v.name for v in query.distinguished))
+    body = query.body
+    if (
+        len(body) == 1
+        and body[0].terms == query.distinguished
+        and len(variables) == len(query.distinguished)
+    ):
+        return evaluate(query, after)
+
+    def seeded(database: Structure, changes: Mapping[str, frozenset]) -> set[tuple]:
+        rows: set[tuple] = set()
+        for i, atom in enumerate(body):
+            delta = changes.get(atom.predicate)
+            seed = translate_atom(atom, delta) if delta else None
+            if seed:
+                rows |= _seeded_join(seed, body[:i] + body[i + 1 :], database, variables)
+        return rows
+
+    derived = seeded(after, added)  # A, over H
+    old = answer.tuples
+    expand = _expander(query, variables)
+    lost = {t for t in seeded(before, removed) if expand(t) in old} - derived  # C
+    if lost:
+        seed = Relation.from_trusted_rows(variables, frozenset(lost))
+        lost -= _seeded_join(seed, body, after, variables)  # C − K
+    gained = {expand(t) for t in derived} - old
+    if not gained and not lost:
+        return answer
+    rows = old.difference(map(expand, lost)) if lost else old
+    return Relation.from_trusted_rows(answer.attributes, rows | gained if gained else rows)
+
+
+def _expander(query: ConjunctiveQuery, variables: tuple[str, ...]):
+    """Rows over the distinct head ``variables`` → rows over the answer
+    columns, a repeated head variable repeating its value (the identity
+    when no head variable repeats)."""
+    if len(query.distinguished) == len(variables):
+        return lambda row: row
+    return itemgetter(*(variables.index(v.name) for v in query.distinguished))
+
+
+def _seeded_join(
+    seed: Relation, atoms: tuple[Atom, ...], database: Structure, attributes: tuple[str, ...]
+) -> frozenset[tuple]:
+    """The rows of π_attributes(seed ⋈ the atoms over ``database``) on the
+    default fused fold, the atoms' join-key indexes warmed first so the
+    fold probes them from the seed's side."""
+    relations = [seed] + [atom_relation(atom, database) for atom in atoms]
+    if len(relations) > 1:
+        warm_join_indexes(relations, range(1, len(relations)), DEFAULT_STRATEGY, fused=True)
+    return join_all(relations, attributes=attributes).tuples
 
 
 def evaluate_boolean(

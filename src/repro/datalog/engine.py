@@ -23,9 +23,9 @@ from repro.relational.algebra import (
     DEFAULT_EXECUTION,
     DEFAULT_STRATEGY,
     join_all,
-    warm_index,
+    warm_join_indexes,
 )
-from repro.relational.planner import order_relations, parse_strategy
+from repro.relational.planner import parse_strategy
 from repro.relational.relation import Relation
 from repro.relational.structure import Structure
 from repro.telemetry.spans import span
@@ -93,40 +93,6 @@ def _atom_to_relation(
     return relation
 
 
-def _warm_static_indexes(
-    relations: list[Relation],
-    static_positions: list[int],
-    order: str,
-    execution: str = "indexed",
-) -> None:
-    """Pre-build the structures the coming rule-body join will probe on
-    the *static* relations (those that persist across fixpoint rounds).
-
-    ``join_all`` folds the planner's order left to right, so the join key
-    of each relation is its attributes shared with everything ordered
-    before it.  Warming a static relation's index makes
-    ``choose_build_side`` pick it as build side even when the fresh delta
-    relation is smaller — the build then amortizes across every remaining
-    round instead of being repaid per round.  Under ``"columnar"``
-    execution the warmed structures are the column store plus the
-    radix-packed code index (:func:`warm_columns`); under ``"indexed"``,
-    the tuple-keyed hash index.  Either build is charged to EvalStats by
-    its warmer, so the accounting stays honest.
-    """
-    static_ids = {id(relations[i]) for i in static_positions}
-    seen: set[str] = set()
-    for rel in order_relations(relations, order):
-        key = set(rel.attributes) & seen
-        if key and id(rel) in static_ids:
-            if execution == "columnar":
-                from repro.relational.columnar import warm_columns
-
-                warm_columns(rel, key)
-            else:
-                warm_index(rel, key)
-        seen.update(rel.attributes)
-
-
 def _apply_rule(
     rule: Rule,
     values: Facts,
@@ -174,7 +140,7 @@ def _apply_rule(
         and execution in ("indexed", "columnar")
         and len(relations) > 1
     ):
-        _warm_static_indexes(relations, static_positions, order, execution)
+        warm_join_indexes(relations, static_positions, order, execution)
     joined = join_all(relations, strategy=strategy) if relations else Relation.unit()
     derived: set[tuple[Any, ...]] = set()
     head = rule.head

@@ -47,12 +47,11 @@ from repro.datalog.engine import (
     _apply_rule,
     _atom_to_relation,
     _edb_facts,
-    _warm_static_indexes,
     seminaive_closure,
 )
 from repro.datalog.syntax import Program, Rule
 from repro.errors import DomainError, VocabularyError
-from repro.relational.algebra import join_all
+from repro.relational.algebra import join_all, warm_join_indexes
 from repro.relational.planner import parse_strategy
 from repro.relational.relation import Relation, RowMemo
 from repro.relational.structure import Structure, Vocabulary
@@ -679,7 +678,7 @@ class IncrementalEvaluation:
                 default_execution=DEFAULT_EXECUTION,
             )
             if execution in ("indexed", "columnar"):
-                _warm_static_indexes(
+                warm_join_indexes(
                     relations, list(range(1, len(relations))), order, execution
                 )
             joined = join_all(relations, strategy=self._strategy)

@@ -52,6 +52,7 @@ __all__ = [
     "join_all",
     "semijoin",
     "warm_index",
+    "warm_join_indexes",
     "union",
     "intersection",
     "difference",
@@ -239,6 +240,48 @@ def warm_index(relation: Relation, attributes: Iterable[str]) -> bool:
             seconds=perf_counter() - start,
         )
     return True
+
+
+def warm_join_indexes(
+    relations: Sequence[Relation],
+    static_positions: Iterable[int],
+    order: str,
+    execution: str = "indexed",
+    *,
+    fused: bool = False,
+) -> None:
+    """Pre-build the structures the coming :func:`join_all` will probe on
+    the *static* relations — those that outlive the join (a fixpoint's
+    snapshots across rounds, a maintained predicate across reads).
+
+    ``join_all`` folds the planner's order left to right, so the join key
+    of each relation is its attributes shared with everything ordered
+    before it.  Warming a static relation's index makes
+    :func:`~repro.relational.planner.choose_build_side` pick it as build
+    side even when the fresh operand it meets is smaller — the build then
+    amortizes across every later join instead of being repaid per join.
+    Under ``"columnar"`` execution the warmed structures are the column
+    store plus the radix-packed code index (:func:`warm_columns`); under
+    ``"indexed"``, the tuple-keyed hash index.  Either build is charged to
+    EvalStats by its warmer, so the accounting stays honest.
+
+    ``fused=True`` warms for the fused join-project fold
+    (``join_all(..., attributes=...)``), which tests a relation whose key
+    is its whole scheme by membership in its rows: no index is built for
+    such a relation.
+    """
+    static_ids = {id(relations[i]) for i in static_positions}
+    seen: set[str] = set()
+    for rel in order_relations(relations, order):
+        key = set(rel.attributes) & seen
+        if key and id(rel) in static_ids and not (fused and len(key) == rel.arity):
+            if execution == "columnar":
+                from repro.relational.columnar import warm_columns
+
+                warm_columns(rel, key)
+            else:
+                warm_index(rel, key)
+        seen.update(rel.attributes)
 
 
 def natural_join(
@@ -535,14 +578,16 @@ def _join_project_all(pending: Sequence[Relation], attributes: tuple[str, ...]) 
     ``attributes``."""
     live = []  # live[i]: the attributes still needed after step i
     needed = set(attributes)
+    joined: set[str] = set()
     for rel in reversed(pending):
         live.append(frozenset(needed))
         needed.update(rel.attributes)
+        joined.update(rel.attributes)
     live.reverse()
     for a in _check_scheme(attributes):
-        if a not in needed:
+        if a not in joined:
             raise VocabularyError(
-                f"attribute {a!r} not in the joined scheme {tuple(sorted(needed))!r}"
+                f"attribute {a!r} not in the joined scheme {tuple(sorted(joined))!r}"
             )
     result = Relation.unit()
     last = len(pending) - 1
@@ -598,7 +643,10 @@ def _join_project(
     The build side is :func:`~repro.relational.planner.choose_build_side`'s,
     as in :func:`_natural_join`, and its table is
     :meth:`Relation.index_on`'s, so a table built here is memoized with
-    the rows and later joins and queries over them probe it for free.
+    the rows and later joins and queries over them probe it for free.  A
+    build side whose whole scheme is the key — an atom whose variables are
+    all bound by then — needs no table: its row set answers each probe by
+    membership, and counts as indexed when the build side is chosen.
 
     A probe row whose key hits contributes its surviving columns (the key
     included), a build row its surviving private ones:
@@ -614,10 +662,13 @@ def _join_project(
     start = perf_counter() if stats is not None else 0.0
     shared, _ = _shared_and_private(left, right)
     key = tuple(shared)
-    build_side = choose_build_side(left, right, key)
+    build_side = choose_build_side(left, right, key, members=True)
     build, probe = (right, left) if build_side == "right" else (left, right)
-    built = not build.has_index(key)
-    index = build.index_on(key)
+    if len(key) == build.arity:
+        key, built, index = build.attributes, False, build.tuples
+    else:
+        built = not build.has_index(key)
+        index = build.index_on(key)
     probe_rows = probe.tuples
     key_positions = [probe.index_of(a) for a in key]
     # Every pass streams its key tuples: each dies as soon as it is probed,

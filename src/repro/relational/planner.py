@@ -138,7 +138,12 @@ def parse_strategy(
 
 
 def choose_build_side(
-    left: Relation, right: Relation, key: Sequence[str], *, interned: bool = False
+    left: Relation,
+    right: Relation,
+    key: Sequence[str],
+    *,
+    interned: bool = False,
+    members: bool = False,
 ) -> str:
     """Which operand of an indexed join should own the hash table.
 
@@ -149,6 +154,11 @@ def choose_build_side(
     an index-free join of equal operands matches the historical behavior.
     ``interned=True`` consults the memoized
     :meth:`Relation.code_index_on` indexes instead of the tuple-keyed ones.
+
+    ``members=True`` is the fused join-project step's rule, which tests a
+    build side whose whole scheme is ``key`` by membership in its rows: such
+    a side counts as indexed too, and when both sides are free the smaller
+    one probes.
     """
     left_key = tuple(key)
     if interned:
@@ -157,6 +167,11 @@ def choose_build_side(
     else:
         left_has = left.has_index(left_key)
         right_has = right.has_index(left_key)
+    if members:
+        left_has = left_has or len(left_key) == left.arity
+        right_has = right_has or len(left_key) == right.arity
+        if left_has and right_has:
+            return "left" if len(left) > len(right) else "right"
     if left_has != right_has:
         return "left" if left_has else "right"
     return "left" if len(left) < len(right) else "right"

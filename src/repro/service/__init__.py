@@ -6,9 +6,12 @@ program's least fixpoint materialized under EDB update streams
 (:mod:`repro.datalog.incremental`) and answers conjunctive queries through
 a :class:`ResultCache` keyed on the canonical form of the *minimized*
 query — so syntactically different but equivalent queries (Chandra–Merlin,
-Props 2.2/2.3) share one cached answer, and the maintenance plane's
-per-predicate dirty sets invalidate exactly the entries whose bodies
-mention a changed predicate.
+Props 2.2/2.3) share one cached answer.  The maintenance plane's
+per-predicate dirty sets mark stale exactly the entries whose bodies
+mention a changed predicate; the next probe that reaches a stale entry
+refreshes its answer from the batch's net deltas with the delta rules the
+maintenance plane runs on its own views, instead of evaluating the query
+again.  An entry is kept stale for one generation only.
 """
 
 from repro.service.cache import CacheStats, ResultCache

@@ -20,15 +20,21 @@ probe tiers, cheapest first:
    to explicit Chandra–Merlin equivalence checks against a bounded number
    of keyless entries.
 
-Invalidation rides the maintenance plane: each entry records the
-predicates its body mentions, and :meth:`ResultCache.invalidate` drops
-exactly the entries touching a dirty predicate.
+Entries survive updates for one generation.  Each entry records the
+predicates its body mentions, and :meth:`ResultCache.invalidate` marks
+*stale* exactly the entries touching a dirty predicate (dropping the ones
+still stale from the batch before).  Whichever tier reaches a stale entry
+first asks the cache's *refresher* to bring the entry's answer forward —
+the :mod:`repro.service` front does it from the batch's deltas
+(:func:`~repro.cq.evaluate.refresh_answer`) — and then answers from it as
+a hit of that tier.  A cache without a refresher treats a stale entry as
+a miss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.cq.canonical import canonical_key
 from repro.cq.containment import are_equivalent
@@ -50,6 +56,7 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     containment_probes: int = 0
+    refreshes: int = 0
 
     @property
     def hits(self) -> int:
@@ -77,6 +84,7 @@ class CacheStats:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "containment_probes": self.containment_probes,
+            "refreshes": self.refreshes,
         }
 
 
@@ -87,6 +95,13 @@ class _Entry:
     result: Relation
     predicates: frozenset[str]
     prefix_keys: dict[int, str]  # head-prefix length -> canonical key
+    stale: bool = False  # a batch since the answer dirtied its body
+
+
+#: Brings a stale entry's answer forward: ``refresh(query, answer)`` is the
+#: minimized query's answer on the current state, or ``None`` when it
+#: cannot be had without evaluating.
+Refresher = Callable[[ConjunctiveQuery, Relation], "Relation | None"]
 
 
 class ResultCache:
@@ -100,19 +115,36 @@ class ResultCache:
         Per-lookup budget of explicit equivalence checks in the
         containment tier (only keyless entries are probed — keyed entries
         that could match would already have hit tier 1).
+    refresh:
+        The :data:`Refresher` a stale entry is brought forward with before
+        it answers; without one a stale entry is a miss.
     """
 
-    def __init__(self, capacity: int = 512, containment_probes: int = 8):
+    def __init__(
+        self,
+        capacity: int = 512,
+        containment_probes: int = 8,
+        refresh: Refresher | None = None,
+    ):
         self.capacity = capacity
         self.containment_probes = containment_probes
         self.stats = CacheStats()
+        self._refresh = refresh
         self._entries: dict[ConjunctiveQuery, _Entry] = {}
         self._by_key: dict[str, ConjunctiveQuery] = {}
         self._by_prefix: dict[tuple[str, int], ConjunctiveQuery] = {}
         self._by_predicate: dict[str, set[ConjunctiveQuery]] = {}
+        self._stale: set[ConjunctiveQuery] = set()
+        # The last probe and its canonical key, which a miss's store reuses.
+        self._probe: tuple[ConjunctiveQuery | None, str | None] = (None, None)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def stale(self) -> int:
+        """How many entries await a refresh."""
+        return len(self._stale)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -125,10 +157,11 @@ class ResultCache:
         distinguished variable names.
         """
         key = canonical_key(minimized)
+        self._probe = (minimized, key)
         arity = len(minimized.distinguished)
         if key is not None:
             holder = self._by_key.get(key)
-            if holder is not None:
+            if holder is not None and self._current(self._entries[holder]):
                 entry = self._entries[holder]
                 if entry.query == minimized:
                     self.stats.exact_hits += 1
@@ -138,7 +171,7 @@ class ResultCache:
                     outcome = "equivalence"
                 return outcome, self._rename(entry.result, minimized)
             prefix_holder = self._by_prefix.get((key, arity))
-            if prefix_holder is not None:
+            if prefix_holder is not None and self._current(self._entries[prefix_holder]):
                 entry = self._entries[prefix_holder]
                 self.stats.projection_hits += 1
                 prefix_attrs = tuple(
@@ -159,11 +192,27 @@ class ResultCache:
                     continue
                 budget -= 1
                 self.stats.containment_probes += 1
-                if are_equivalent(minimized, entry.query):
+                if are_equivalent(minimized, entry.query) and self._current(entry):
                     self.stats.equivalence_hits += 1
                     return "equivalence", self._rename(entry.result, minimized)
         self.stats.misses += 1
         return "miss", None
+
+    def _current(self, entry: _Entry) -> bool:
+        """Whether ``entry`` answers for the current state, refreshing it
+        first if it is stale (``False`` when it cannot be refreshed).  The
+        refreshed answer is a new relation: answers handed out before
+        never change."""
+        if not entry.stale:
+            return True
+        result = self._refresh(entry.query, entry.result) if self._refresh else None
+        if result is None:
+            return False
+        entry.result = result
+        entry.stale = False
+        self._stale.discard(entry.query)
+        self.stats.refreshes += 1
+        return True
 
     @staticmethod
     def _rename(result: Relation, probe: ConjunctiveQuery) -> Relation:
@@ -180,10 +229,19 @@ class ResultCache:
     # -- store / invalidate ---------------------------------------------------
 
     def store(self, minimized: ConjunctiveQuery, result: Relation) -> None:
-        """Insert one minimized query's result (evicting FIFO at capacity)."""
+        """Insert one minimized query's result (evicting FIFO at capacity).
+
+        The canonical key :meth:`lookup` just computed for the same query
+        is reused, so a miss and its store key the full query once."""
         if minimized in self._entries:
             self._drop(minimized)
-        key = canonical_key(minimized)
+        probe, key = self._probe
+        if probe is not minimized:
+            key = canonical_key(minimized)
+        if key is not None:
+            holder = self._by_key.get(key)
+            if holder is not None and self._entries[holder].stale:
+                self._drop(holder)  # superseded by the fresh answer
         prefix_keys: dict[int, str] = {}
         distinguished = minimized.distinguished
         for k in range(len(distinguished)):
@@ -216,13 +274,18 @@ class ResultCache:
         self.stats.stores += 1
 
     def invalidate(self, dirty: Iterable[str]) -> int:
-        """Drop every entry whose body mentions a dirty predicate; returns
-        how many entries were dropped."""
+        """Record one dirty batch: drop every entry still stale from the
+        batch before, then mark stale every entry whose body mentions a
+        dirty predicate; returns how many entries were marked."""
+        leftover, self._stale = self._stale, set()
+        for query in leftover:
+            self._drop(query)
         victims: set[ConjunctiveQuery] = set()
         for predicate in dirty:
             victims |= self._by_predicate.get(predicate, set())
         for query in victims:
-            self._drop(query)
+            self._entries[query].stale = True
+        self._stale = victims
         self.stats.invalidations += len(victims)
         return len(victims)
 
@@ -232,11 +295,13 @@ class ResultCache:
         self._by_key.clear()
         self._by_prefix.clear()
         self._by_predicate.clear()
+        self._stale.clear()
 
     def _drop(self, query: ConjunctiveQuery) -> None:
         entry = self._entries.pop(query, None)
         if entry is None:
             return
+        self._stale.discard(query)
         if entry.key is not None and self._by_key.get(entry.key) == query:
             del self._by_key[entry.key]
         for k, pk in entry.prefix_keys.items():

@@ -5,9 +5,13 @@
 least fixpoint) and a :class:`~repro.service.cache.ResultCache` (answers
 keyed on the canonical form of minimized queries).  ``ask`` minimizes the
 incoming conjunctive query once, probes the cache, and only evaluates on a
-miss; ``update`` applies an EDB batch incrementally and invalidates
-exactly the cache entries whose bodies mention a changed predicate.
-Per-operation latencies land in two
+miss; ``update`` applies an EDB batch incrementally and marks stale
+exactly the cache entries whose bodies mention a changed predicate.  The
+service keeps the structure the batch superseded and the batch's
+:class:`~repro.datalog.incremental.UpdateReport` for one generation, so
+the next probe that reaches a stale entry brings its answer forward from
+the batch's deltas (:func:`~repro.cq.evaluate.refresh_answer`) instead of
+evaluating the query again.  Per-operation latencies land in two
 :class:`~repro.telemetry.registry.TimingHistogram` instances so a service
 run can report P50/P99 without external tooling.
 """
@@ -19,12 +23,13 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.cq.containment import minimize
-from repro.cq.evaluate import evaluate
+from repro.cq.evaluate import evaluate, refresh_answer
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
 from repro.datalog.incremental import IncrementalEvaluation, UpdateReport
 from repro.datalog.syntax import Program
 from repro.relational.relation import Relation
+from repro.relational.structure import Structure
 from repro.service.cache import ResultCache
 from repro.telemetry.registry import TimingHistogram
 from repro.telemetry.spans import span
@@ -69,8 +74,11 @@ class QueryService:
     >>> svc.ask("Q2(A, B) :- T(A, B)").outcome  # equivalent, renamed
     'equivalence'
     >>> report = svc.update(inserts={"E": {(3, 4)}})
-    >>> svc.ask("Q(X, Y) :- T(X, Y)").outcome  # invalidated by the update
-    'miss'
+    >>> answer = svc.ask("Q(X, Y) :- T(X, Y)")  # refreshed from the deltas
+    >>> answer.outcome, svc.cache.stats.refreshes
+    ('exact', 1)
+    >>> sorted(answer.result.tuples)
+    [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
     Parameters
     ----------
@@ -82,7 +90,9 @@ class QueryService:
         Initial EDB facts (``{predicate: rows}``).
     strategy:
         Join strategy forwarded to both the maintenance plane and query
-        evaluation (``None``/"auto"/"wcoj"/...).
+        evaluation (``None``/"auto"/"wcoj"/...).  Refreshes run on the
+        default fold whatever the strategy: every strategy gives the same
+        answer.
     deletion:
         Deletion algorithm for the maintenance plane (``"dred"`` or
         ``"counting"``).
@@ -105,8 +115,13 @@ class QueryService:
             program, database, strategy=strategy, deletion=deletion
         )
         self.cache = ResultCache(
-            capacity=cache_capacity, containment_probes=containment_probes
+            capacity=cache_capacity,
+            containment_probes=containment_probes,
+            refresh=self._refresh,
         )
+        # The structure the last dirty batch superseded and that batch's
+        # report, kept while some cache entry is stale.
+        self._previous: tuple[Structure, UpdateReport] | None = None
         self.query_latency = TimingHistogram()
         self.update_latency = TimingHistogram()
 
@@ -128,7 +143,9 @@ class QueryService:
         The query is minimized (its core computed) once; the cache is
         probed with the minimized form, and only a miss evaluates against
         the data — after which the result is stored for future equivalent
-        (or projectable) queries.  Anything but query text or a
+        (or projectable) queries.  A hit on an entry the last batch made
+        stale refreshes it first (counted in ``cache.stats.refreshes``).
+        Anything but query text or a
         :class:`~repro.cq.query.ConjunctiveQuery` raises :class:`TypeError`.
         """
         if isinstance(query, str):
@@ -141,14 +158,21 @@ class QueryService:
         started = time.perf_counter()
         with span("service.query", head=query.head_name) as sp:
             minimized = minimize(query)
+            refreshes = self.cache.stats.refreshes
             outcome, result = self.cache.lookup(minimized)
             if result is None:
                 result = evaluate(
                     minimized, self._engine.as_structure(), strategy=self._strategy
                 )
                 self.cache.store(minimized, result)
+            if self._previous is not None and not self.cache.stale:
+                self._previous = None  # no entry needs the old generation
             if sp:
-                sp.note(outcome=outcome, rows=len(result))
+                sp.note(
+                    outcome=outcome,
+                    rows=len(result),
+                    refreshed=self.cache.stats.refreshes != refreshes,
+                )
         seconds = time.perf_counter() - started
         self.query_latency.observe(seconds)
         return ServiceAnswer(result, outcome, seconds)
@@ -164,19 +188,42 @@ class QueryService:
         inserts: Mapping[str, Iterable[tuple]] | None = None,
         deletes: Mapping[str, Iterable[tuple]] | None = None,
     ) -> UpdateReport:
-        """Apply one EDB update batch and invalidate affected cache entries."""
+        """Apply one EDB update batch and mark affected cache entries stale.
+
+        A dirty batch drops the entries still stale from the batch before
+        and keeps the structure it superseded, with its report, until no
+        stale entry remains (nothing is built for an empty cache)."""
         started = time.perf_counter()
         with span("service.update") as sp:
+            before = self._engine.as_structure() if len(self.cache) else None
             report = self._engine.apply(inserts, deletes)
-            dropped = self.cache.invalidate(report.dirty)
+            stale = 0
+            if report.dirty:
+                stale = self.cache.invalidate(report.dirty)
+                self._previous = (before, report) if self.cache.stale else None
             if sp:
                 sp.note(
                     rows_added=report.rows_added,
                     rows_removed=report.rows_removed,
-                    cache_dropped=dropped,
+                    cache_stale=stale,
                 )
         self.update_latency.observe(time.perf_counter() - started)
         return report
+
+    def _refresh(self, query: ConjunctiveQuery, answer: Relation) -> Relation | None:
+        """The cache's refresher: ``answer`` brought forward over the last
+        dirty batch (``None`` when no batch is kept)."""
+        if self._previous is None:
+            return None
+        before, report = self._previous
+        return refresh_answer(
+            query,
+            answer,
+            before,
+            self._engine.as_structure(),
+            {**report.edb_added, **report.idb_added},
+            {**report.edb_removed, **report.idb_removed},
+        )
 
     # -- reporting ------------------------------------------------------------
 

@@ -135,9 +135,11 @@ def service_stream(
     Every ``update_every``-th event is an :class:`UpdateEvent`; the rest
     are :class:`QueryEvent` s drawing a template uniformly and scrambling
     it with :func:`equivalent_variant`.  With ``T`` templates, ``U``
-    updates, and ``Q`` queries the containment cache's expected hit rate
-    is about ``1 - T * (U + 1) / Q`` — each template misses once per
-    invalidation epoch and hits every other time.
+    updates, and ``Q`` queries the containment cache's hit rate lies
+    between ``1 - T * (U + 1) / Q`` and ``1 - T / Q``: each template
+    misses on its first ask and after an update epoch in which nobody
+    asked it (the next batch drops its stale entry); otherwise the
+    epoch's first ask refreshes the entry and hits.
 
     ``graph`` picks the data shape and with it the update semantics:
 

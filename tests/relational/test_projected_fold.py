@@ -181,3 +181,30 @@ def test_indexes_the_fold_builds_on_base_operands_are_index_on_indexes():
     with collect_stats() as again:
         join_all([small, large], attributes=("x", "z"))
     assert again.index_builds == 0
+
+
+def test_an_all_bound_operand_is_a_membership_test():
+    """A step whose key is an operand's whole scheme tests membership in
+    its rows: the answer is the projected join, and no full-row index is
+    built on that operand."""
+    pairs = Relation(("x", "y"), [(1, 2), (2, 3), (3, 4)])
+    edges = Relation(("y", "z"), [(2, 5), (3, 6), (4, 7)])
+    closure = Relation(("x", "z"), [(1, 5), (2, 6), (9, 9), (8, 8)])
+    with collect_stats() as stats:
+        answer = join_all([pairs, edges, closure], "textbook", attributes=("x", "z"))
+    assert answer == project(join_all([pairs, edges, closure], "scan"), ("x", "z"))
+    assert sorted(answer.tuples) == [(1, 5), (2, 6)]
+    assert stats.index_builds == 1  # the y key only
+    assert not closure.has_index(("x", "z"))
+
+
+def test_a_free_operand_is_probed_by_the_smaller_side():
+    """When both operands of a step are free to probe — one indexed on the
+    key, the other with the key as its whole scheme — the smaller probes."""
+    bound = Relation(("y",), [(2,)])
+    edges = Relation(("y", "z"), [(y, y + 1) for y in range(50)])
+    edges.index_on(("y",))
+    with collect_stats() as stats:
+        answer = join_all([bound, edges], "textbook", attributes=("z",))
+    assert sorted(answer.tuples) == [(3,)]
+    assert stats.hash_probes == 1 and stats.index_builds == 0

@@ -51,7 +51,7 @@ def test_equivalence_hits_return_the_cached_rows_by_identity():
     first = svc.ask(texts[0])
     svc.update(inserts={"E": {(4, 6)}})
     first = svc.ask(texts[0])
-    assert first.outcome == "miss"
+    assert first.outcome == "exact" and svc.cache.stats.refreshes == 1
     # An uncached oracle: the same state without any memoized derivations.
     fresh = pickle.loads(pickle.dumps(svc.engine.as_structure()))
     for text in texts[1:]:
@@ -67,7 +67,7 @@ def test_update_invalidates_and_answers_track_new_state():
     report = svc.update(inserts={"E": {(4, 9)}})
     assert "T" in report.dirty
     answer = svc.ask("Q(X, Y) :- T(X, Y).")
-    assert answer.outcome == "miss"  # invalidated
+    assert answer.outcome == "exact" and svc.cache.stats.refreshes == 1  # refreshed
     assert (1, 9) in answer.result.tuples
 
 
@@ -173,3 +173,18 @@ def test_a_fresh_generation_reads_the_maintained_indexes():
     fresh = index_builds()
     warm = index_builds()
     assert fresh == warm
+
+
+def test_a_miss_and_its_store_key_the_query_once(monkeypatch):
+    """``store`` reuses the canonical key ``lookup`` computed for the same
+    query; each head prefix still gets its own key."""
+    from repro.service import cache as cache_module
+
+    keyed = []
+    canonical_key = cache_module.canonical_key
+    monkeypatch.setattr(
+        cache_module, "canonical_key", lambda q: keyed.append(q) or canonical_key(q)
+    )
+    svc = make_service()
+    assert svc.ask("Q(X, Y, Z) :- E(X, Y), T(Y, Z).").outcome == "miss"
+    assert sorted(len(q.distinguished) for q in keyed) == [0, 1, 2, 3]
