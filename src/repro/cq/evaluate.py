@@ -15,13 +15,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.cq.query import Atom, ConjunctiveQuery, Var
 from repro.errors import VocabularyError
-from repro.relational.algebra import (
-    DEFAULT_STRATEGY,
-    join_all,
-    project,
-    semijoin,
-    warm_join_indexes,
-)
+from repro.relational.algebra import join_all, project, semijoin
 from repro.relational.relation import Relation
 from repro.relational.stats import current_stats
 from repro.relational.structure import Structure
@@ -404,9 +398,9 @@ def _seeded_join(
     default fused fold, the atoms' join-key indexes warmed first so the
     fold probes them from the seed's side."""
     relations = [seed] + [atom_relation(atom, database) for atom in atoms]
-    if len(relations) > 1:
-        warm_join_indexes(relations, range(1, len(relations)), DEFAULT_STRATEGY, fused=True)
-    return join_all(relations, attributes=attributes).tuples
+    return join_all(
+        relations, attributes=attributes, lasting=range(1, len(relations))
+    ).tuples
 
 
 def evaluate_boolean(

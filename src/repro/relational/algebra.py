@@ -34,10 +34,10 @@ from __future__ import annotations
 from itertools import chain, compress
 from operator import itemgetter
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, SolverError, VocabularyError
-from repro.relational.planner import EXECUTIONS, choose_build_side, order_relations, parse_strategy
+from repro.relational.planner import EXECUTIONS, choose_build_side, parse_strategy, plan_join
 from repro.relational.relation import Relation, _check_scheme
 from repro.relational.stats import current_stats
 from repro.telemetry.spans import span
@@ -52,7 +52,6 @@ __all__ = [
     "join_all",
     "semijoin",
     "warm_index",
-    "warm_join_indexes",
     "union",
     "intersection",
     "difference",
@@ -242,48 +241,6 @@ def warm_index(relation: Relation, attributes: Iterable[str]) -> bool:
     return True
 
 
-def warm_join_indexes(
-    relations: Sequence[Relation],
-    static_positions: Iterable[int],
-    order: str,
-    execution: str = "indexed",
-    *,
-    fused: bool = False,
-) -> None:
-    """Pre-build the structures the coming :func:`join_all` will probe on
-    the *static* relations — those that outlive the join (a fixpoint's
-    snapshots across rounds, a maintained predicate across reads).
-
-    ``join_all`` folds the planner's order left to right, so the join key
-    of each relation is its attributes shared with everything ordered
-    before it.  Warming a static relation's index makes
-    :func:`~repro.relational.planner.choose_build_side` pick it as build
-    side even when the fresh operand it meets is smaller — the build then
-    amortizes across every later join instead of being repaid per join.
-    Under ``"columnar"`` execution the warmed structures are the column
-    store plus the radix-packed code index (:func:`warm_columns`); under
-    ``"indexed"``, the tuple-keyed hash index.  Either build is charged to
-    EvalStats by its warmer, so the accounting stays honest.
-
-    ``fused=True`` warms for the fused join-project fold
-    (``join_all(..., attributes=...)``), which tests a relation whose key
-    is its whole scheme by membership in its rows: no index is built for
-    such a relation.
-    """
-    static_ids = {id(relations[i]) for i in static_positions}
-    seen: set[str] = set()
-    for rel in order_relations(relations, order):
-        key = set(rel.attributes) & seen
-        if key and id(rel) in static_ids and not (fused and len(key) == rel.arity):
-            if execution == "columnar":
-                from repro.relational.columnar import warm_columns
-
-                warm_columns(rel, key)
-            else:
-                warm_index(rel, key)
-        seen.update(rel.attributes)
-
-
 def natural_join(
     left: Relation, right: Relation, *, execution: str | None = None
 ) -> Relation:
@@ -460,6 +417,7 @@ def join_all(
     *,
     execution: str | None = None,
     attributes: Sequence[str] | None = None,
+    lasting: Collection[int] = (),
 ) -> Relation:
     """Natural join of a collection of relations, or with ``attributes``
     its projection ``π_attributes(⋈ relations)``.
@@ -467,7 +425,7 @@ def join_all(
     ``strategy`` combines a join *order* — which determines every
     intermediate-relation cardinality, though never the result — and a join
     *execution*; see :func:`repro.relational.planner.parse_strategy`.
-    Orders (delegated to :func:`repro.relational.planner.order_relations`):
+    Orders (delegated to :func:`repro.relational.planner.plan_join`):
 
     * ``"greedy"`` (the default via :data:`DEFAULT_STRATEGY`) — cost-guided,
       smallest estimated intermediate first;
@@ -504,24 +462,64 @@ def join_all(
     once at the end.  Each step, the seed included, is recorded as one
     ``natural_join`` (span and :class:`~repro.relational.stats.EvalStats`
     entry), with the projected sizes as its intermediates.
+
+    ``lasting`` gives the positions, in ``relations``, of the operands that
+    outlive this join (a fixpoint's snapshots across rounds, a maintained
+    predicate across reads).  Under the ``"indexed"`` and ``"columnar"``
+    executions each one's index on its join key — its attributes shared
+    with everything the plan folds before it — is built up front
+    (:func:`_warm_lasting`), so :func:`~repro.relational.planner.choose_build_side`
+    picks it as build side even against a smaller fresh operand, and the
+    build amortizes across every later join instead of being repaid per
+    join.  The warming follows the one plan the fold runs.
     """
     order, spec_execution = parse_strategy(
         strategy, default_order=DEFAULT_STRATEGY, default_execution=DEFAULT_EXECUTION
     )
     execution = execution or spec_execution
-    pending = order_relations(relations, order)
+    operands = list(relations)
+    plan = plan_join(operands, order).order
+    pending = [operands[i] for i in plan]
     with span(
         "join_all", strategy=order, execution=execution, relations=len(pending)
     ) as sp:
+        fused = attributes is not None and execution == "indexed"
+        if lasting and len(pending) > 1 and execution in ("indexed", "columnar"):
+            keep = set(lasting)
+            _warm_lasting(pending, [i in keep for i in plan], execution, fused)
         if attributes is None:
             result = _join_all(pending, execution)
-        elif execution == "indexed":
+        elif fused:
             result = _join_project_all(pending, tuple(attributes))
         else:
             result = project(_join_all(pending, execution), attributes)
         if sp:
             sp.note(rows=len(result))
         return result
+
+
+def _warm_lasting(
+    pending: Sequence[Relation], lasting: Sequence[bool], execution: str, fused: bool
+) -> None:
+    """Build the structures the fold over ``pending`` (in plan order) will
+    probe on the operands flagged in ``lasting``: the tuple-keyed hash
+    index under ``"indexed"`` (:func:`warm_index`), the column store plus
+    the radix-packed code index under ``"columnar"``
+    (:func:`~repro.relational.columnar.warm_columns`), each build charged
+    to EvalStats by its warmer.  The fused fold (``fused``) tests an
+    operand whose key is its whole scheme by membership in its rows, so no
+    index is built for it."""
+    seen: set[str] = set()
+    for rel, keep in zip(pending, lasting):
+        key = seen.intersection(rel.attributes)
+        if key and keep and not (fused and len(key) == rel.arity):
+            if execution == "columnar":
+                from repro.relational.columnar import warm_columns
+
+                warm_columns(rel, key)
+            else:
+                warm_index(rel, key)
+        seen.update(rel.attributes)
 
 
 def _join_all(pending: Sequence[Relation], execution: str) -> Relation:

@@ -44,9 +44,17 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--deletion", choices=("dred", "counting"), default="dred",
         help="deletion algorithm for the maintenance plane (default: dred)",
     )
+    from repro.relational.algebra import DEFAULT_EXECUTION, DEFAULT_STRATEGY
+    from repro.relational.planner import EXECUTIONS, STRATEGIES
+
     parser.add_argument(
-        "--strategy", default=None,
-        help="join strategy for rule bodies and queries (default: auto)",
+        "--strategy", default=None, metavar="SPEC",
+        help=(
+            "join strategy for rule bodies and queries: an order "
+            f"({', '.join(STRATEGIES)}), an execution ({', '.join(EXECUTIONS)}), "
+            "or order+execution such as textbook+scan "
+            f"(default: {DEFAULT_STRATEGY}+{DEFAULT_EXECUTION})"
+        ),
     )
 
 

@@ -208,3 +208,53 @@ def test_a_free_operand_is_probed_by_the_smaller_side():
         answer = join_all([bound, edges], "textbook", attributes=("z",))
     assert sorted(answer.tuples) == [(3,)]
     assert stats.hash_probes == 1 and stats.index_builds == 0
+
+
+def test_a_warmed_join_is_planned_once(monkeypatch):
+    """A seeded join and a rule application each run the planner once: the
+    plan that orders the fold also decides which keys of the lasting
+    operands are warmed — the key a step probes, and none for an operand
+    whose variables are all bound by then (a membership test)."""
+    from repro.cq.evaluate import _seeded_join
+    from repro.datalog.engine import _apply_rule, _atom_to_relation, evaluate_seminaive
+    from repro.relational import algebra, planner
+    from repro.relational.structure import Structure, Vocabulary
+
+    program = transitive_closure_program()
+    edges = {(i, i + 1) for i in range(8)} | {(0, 5), (2, 7)}
+    values = {"E": frozenset(edges), **evaluate_seminaive(program, {"E": edges})}
+    domain = {v for rows in values.values() for row in rows for v in row}
+    database = Structure(Vocabulary(program.arities()), domain, values)
+    plans = []
+    plan_join = planner.plan_join
+
+    def counted(relations, strategy="greedy"):
+        plans.append(len(relations))
+        return plan_join(relations, strategy)
+
+    monkeypatch.setattr(algebra, "plan_join", counted)
+    monkeypatch.setattr(planner, "plan_join", counted)
+
+    body = parse_query("Q(X, Y) :- T(X, Z), E(Z, Y).").body
+    seed = Relation(("X", "Y"), [(0, 3), (1, 4)])
+    with collect_stats() as stats:
+        rows = _seeded_join(seed, body, database, ("X", "Y"))
+    assert sorted(rows) == [(0, 3), (1, 4)]
+    assert plans == [3] and stats.index_builds == 1
+    assert [sorted(atom_relation(atom, database).row_memo.indexes) for atom in body] == [
+        [],
+        [(1,)],
+    ]
+
+    plans.clear()
+    rule = program.rules[1]  # T(X, Y) :- T(X, Z), E(Z, Y).
+    cache: dict = {}
+    delta = {"T": frozenset({(0, 1), (3, 4)})}
+    with collect_stats() as stats:
+        derived = _apply_rule(
+            rule, values, delta_atom_index=0, delta=delta, cache=cache, static=frozenset({"E"})
+        )
+    assert sorted(derived) == [(0, 2), (3, 5)]
+    assert plans == [2] and stats.index_builds == 1
+    edge_relation = _atom_to_relation(rule.body[1], values["E"], cache)
+    assert sorted(edge_relation.row_memo.indexes) == [(0,)]

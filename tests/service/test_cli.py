@@ -64,6 +64,37 @@ def test_serve_query_insert_delete_stats_quit():
     assert responses[6]["op"] == "quit"
 
 
+@pytest.mark.parametrize("strategy", ["textbook+scan", "columnar"])
+def test_serve_session_under_a_strategy_answers_as_the_default(strategy):
+    """Under a non-default strategy rule bodies join first and project the
+    head at the end; the session's answers, its update reports and its one
+    refresh are the default's."""
+    session = [
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2], [2, 3]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "delete", "predicate": "E", "rows": [[2, 3]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "stats"}',
+    ]
+    fields = ("ok", "outcome", "rows", "dirty", "rows_added", "rows_removed")
+    default = serve_session(session)
+    responses = serve_session(session, strategy=strategy)
+    assert [r["ok"] for r in responses] == [True] * 5
+    assert [{k: r.get(k) for k in fields} for r in responses[:4]] == [
+        {k: r.get(k) for k in fields} for r in default[:4]
+    ]
+    assert responses[3]["outcome"] == "exact" and responses[3]["rows"] == [[1, 2]]
+    assert responses[4]["stats"]["cache"]["refreshes"] == 1
+
+
+def test_serve_strategy_help_names_the_real_default():
+    parser = argparse.ArgumentParser()
+    add_serve_arguments(parser)
+    text = " ".join(parser.format_help().split())
+    assert "(default: greedy+indexed)" in text and "textbook+scan" in text
+    assert "auto" not in text
+
+
 def test_serve_reports_errors_without_dying():
     responses = serve_session([
         '{"op": "bogus"}',
