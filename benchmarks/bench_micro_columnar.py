@@ -87,7 +87,7 @@ def _dense_engines(strategy: str):
 
 def _propagate(engine):
     domains = engine.fresh_domains()
-    engine.propagate(domains, engine.full_worklist(), PropagationStats())
+    engine.propagate(domains, None, PropagationStats())
     return domains
 
 

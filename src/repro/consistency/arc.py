@@ -11,7 +11,7 @@ Every engine here accepts a ``strategy`` knob (the propagation analogue of
 the join backend's ``indexed``/``scan`` executions):
 
 * ``"residual"`` (default) — the support-indexed engines built on
-  :mod:`repro.consistency.propagation`: deduplicated worklists, per-
+  :mod:`repro.consistency.propagation`: a changed-variable queue, per-
   ``(constraint, variable, value)`` residual support rows backed by the
   memoized :meth:`~repro.relational.relation.Relation.index_on` hash
   indexes, trail-restored SAC probes, and memoized PC witnesses.
@@ -103,15 +103,16 @@ def ac3(instance: CSPInstance, strategy: str = "residual") -> ArcResult:
 
     Runs to fixpoint; sound (never removes a value that occurs in a
     solution) and therefore a decision procedure for unsatisfiability only.
-    Both strategies compute the same (unique) arc-consistent closure.
-    ``"residual"`` re-verifies stored support rows instead of rescanning
-    whole relations and holds its arcs in a deduplicating set-backed
-    worklist, so a pending arc is never enqueued twice and ``revisions``
-    counts revise operations that really examined rows — matching the
-    counter's docstring.  ``"naive"`` is the seed implementation kept as
-    the differential oracle, unbounded duplicate arc enqueueing included.
-    ``"interned"`` runs the same worklist over bitmask domains in code
-    space and decodes the result.
+    Every strategy computes the same (unique) arc-consistent closure, and
+    every strategy refutes an instance with an empty relation (arity 0
+    included) before revising anything.  ``"residual"`` re-verifies stored
+    support rows instead of rescanning whole relations, revises every arc
+    once and then queues only the variables whose domains shrank, each at
+    most once while pending, so ``revisions`` counts revise operations that
+    really examined rows — matching the counter's docstring.  ``"naive"``
+    is the seed implementation kept as the differential oracle, unbounded
+    duplicate arc enqueueing included.  ``"interned"`` runs the same loop
+    over bitmask domains in code space and decodes the result.
     """
     check_propagation_strategy(strategy)
     instance = instance.normalize()
@@ -122,7 +123,7 @@ def ac3(instance: CSPInstance, strategy: str = "residual") -> ArcResult:
         stats = PropagationStats()
         engine.charge_build(stats)
         raw = engine.fresh_domains()
-        consistent = engine.propagate(raw, engine.full_worklist(), stats)
+        consistent = engine.propagate(raw, None, stats)
         domains = engine.export_domains(raw)
     publish(stats)
     return ArcResult(domains, consistent, stats.revisions, stats)
@@ -133,14 +134,19 @@ def _ac3_naive(
 ) -> tuple[dict[Any, set[Any]], bool, PropagationStats]:
     """The textbook GAC-3 fixpoint: every revise rescans the full relation.
 
-    ``instance`` must be normalized.  Kept verbatim (modulo instrumentation)
-    as the differential oracle for the residual engine — including the
-    original unbounded list queue, which may hold the same
-    ``(constraint, variable)`` arc many times; the residual engine's
-    :class:`~repro.consistency.propagation.Worklist` is the fix.
+    ``instance`` must be normalized.  Kept verbatim (modulo instrumentation
+    and the empty-relation refutation every strategy shares) as the
+    differential oracle for the residual engine — including the original
+    unbounded list queue, which may hold the same ``(constraint,
+    variable)`` arc many times; the engines' changed-variable queue is the
+    fix.
     """
     stats = PropagationStats()
     domains: dict[Any, set[Any]] = {v: set(instance.domain) for v in instance.variables}
+    if any(not c.relation for c in instance.constraints):
+        # No arc reaches an empty nullary relation, so it is refuted here.
+        stats.wipeouts += 1
+        return domains, False, stats
     constraints_on: dict[Any, list[Constraint]] = {v: [] for v in instance.variables}
     for c in instance.constraints:
         for v in c.variables():
@@ -271,7 +277,7 @@ def _sac_engine(engine: PropagationEngine) -> ArcResult:
     engine.charge_build(stats)
     instance = engine.instance
     domains = engine.fresh_domains()
-    if not engine.propagate(domains, engine.full_worklist(), stats):
+    if not engine.propagate(domains, None, stats):
         publish(stats)
         return ArcResult(engine.export_domains(domains), False, stats.revisions, stats)
 
@@ -286,9 +292,7 @@ def _sac_engine(engine: PropagationEngine) -> ArcResult:
                 if not removed:
                     continue  # pinning a singleton domain changes nothing
                 trail: list[tuple[Any, Any]] = [(variable, removed)]
-                ok = engine.propagate(
-                    domains, engine.arcs_from([variable]), stats, trail=trail
-                )
+                ok = engine.propagate(domains, (variable,), stats, trail=trail)
                 engine.restore(domains, trail, stats)
                 if not ok:
                     engine.discard(domains, variable, value)
@@ -300,9 +304,7 @@ def _sac_engine(engine: PropagationEngine) -> ArcResult:
                             engine.export_domains(domains), False, stats.revisions, stats
                         )
                     # Re-establish the shared AC fixpoint before probing on.
-                    if not engine.propagate(
-                        domains, engine.arcs_from([variable]), stats
-                    ):
+                    if not engine.propagate(domains, (variable,), stats):
                         publish(stats)
                         return ArcResult(
                             engine.export_domains(domains), False, stats.revisions, stats

@@ -15,9 +15,10 @@ This module provides the three ingredients the rewritten engines share:
   :class:`~repro.relational.stats.EvalStats`: revisions, constraint-row
   support checks, residual-support hits, trail restores, and wipeouts,
   collectable through a ``contextvars``-scoped :func:`collect_propagation`.
-* :class:`Worklist` — a set-backed deduplicating queue.  The classical AC-3
-  formulation appends ``(constraint, variable)`` arcs unboundedly; here an
-  arc already awaiting revision is never enqueued twice.
+* :class:`Worklist` — a set-backed deduplicating queue for the fixpoints
+  whose work items are not variables (path consistency's pairs, the pebble
+  game's partial homomorphisms): an item already awaiting processing is
+  never enqueued twice.
 * :class:`PropagationEngine` — generalized arc consistency in the AC-3rm
   *residual support* style (Lecoutre–Hemery): for every
   ``(constraint, variable, value)`` triple the last support row found is
@@ -29,6 +30,13 @@ This module provides the three ingredients the rewritten engines share:
   use, so they stay sound when domains grow back (trail-restoring SAC
   probes, backtracking search) — unlike AC-2001 pointers, which assume
   monotone deletion.
+
+The engines' fixpoint queues the *variables* whose domains changed, each at
+most once while pending, and revises a popped variable's outgoing arcs as
+one precomputed block: no ``(constraint, variable)`` tuple is built or
+hashed per push.  The root pass revises every arc once, then follows the
+variables that shrank.  The bitset engines build their masks in one pass
+over the rows and revise binary arcs inline in that loop.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Container, Hashable, Iterable, Iterator
+from typing import Any, Collection, Container, Hashable, Iterable, Iterator
 
 from repro.csp.instance import Constraint, CSPInstance
 from repro.relational.interning import Codec, bit_positions
@@ -68,6 +76,11 @@ __all__ = [
 #: column as one vectorized operation when numpy is available; see
 #: :class:`ColumnarEngine`).
 PROPAGATION_STRATEGIES: tuple[str, ...] = ("residual", "naive", "interned", "columnar")
+
+
+#: The key of the root pass's block in an engine's arc table: the arcs of
+#: every constraint, revised once before the loop follows changed variables.
+_ROOT = object()
 
 
 def check_propagation_strategy(strategy: str) -> str:
@@ -368,6 +381,13 @@ class PropagationEngine:
     — AC-3 passes, SAC probes, or all the nodes of a MAC search.  Residual
     supports are verified before use, so the engine is sound even when the
     caller restores previously deleted values between calls.
+
+    The fixpoint queues *variables*, not ``(constraint, variable)`` arcs.
+    The build lists each variable's outgoing arcs once: every
+    ``(constraint, target)`` whose target is another variable of a
+    constraint on it.  Popping a variable revises that block in order, and
+    a target that shrinks is queued once.  All three engines share this one
+    loop; they differ only in what an arc carries (see :meth:`_arcs_of`).
     """
 
     def __init__(self, instance: CSPInstance):
@@ -376,94 +396,144 @@ class PropagationEngine:
         self.instance = instance
         self._ordered_domain = sorted(instance.domain, key=repr)
         self.constraints = [_ResidualConstraint(c) for c in instance.constraints]
-        self.constraints_on: dict[Any, list[_ResidualConstraint]] = {
-            v: [] for v in instance.variables
-        }
-        for rc in self.constraints:
-            for v in rc.scope:
-                self.constraints_on[v].append(rc)
+        self._build_arcs()
 
-    # -- worklist construction -------------------------------------------
+    def _build_arcs(self) -> None:
+        """Precompute what the fixpoint reads: the root block (every arc,
+        in constraint then scope order), each variable's outgoing block,
+        and whether an empty relation refutes the root pass outright.
+
+        An arc is a ``(target, partner, masks, constraint)`` tuple; the
+        blocks share the tuples.
+        """
+        self._refuted = any(not c.relation for c in self.instance.constraints)
+        every: list[tuple] = []
+        outgoing: dict[Any, list[tuple]] = {v: [] for v in self.instance.variables}
+        for constraint in self.constraints:
+            arcs = self._arcs_of(constraint)
+            every += arcs
+            for arc in arcs:
+                for source in constraint.scope:
+                    if source != arc[0]:
+                        outgoing[source].append(arc)
+        outgoing[_ROOT] = every
+        self._arcs = outgoing
+
+    def _arcs_of(self, constraint: Any) -> list[tuple]:
+        """One arc per scope position of ``constraint``.
+
+        ``masks`` is None here: the loop calls the constraint's ``revise``.
+        The bitset engine gives arity-2 arcs their partner masks instead
+        (see :meth:`InternedEngine._arcs_of`), and the loop revises those
+        inline against the ``partner`` variable's domain.
+        """
+        return [(target, None, None, constraint) for target in constraint.scope]
 
     def fresh_domains(self) -> dict[Any, set[Any]]:
         """Full domains for every variable (the AC starting point)."""
         return {v: set(self.instance.domain) for v in self.instance.variables}
 
-    def full_worklist(self, skip: Container[Any] = ()) -> Worklist:
-        """Every (constraint, variable) arc, minus targets in ``skip``."""
-        return Worklist(
-            (rc, v) for rc in self.constraints for v in rc.scope if v not in skip
-        )
-
-    def arcs_from(self, variables: Iterable[Any], skip: Container[Any] = ()) -> Worklist:
-        """The arcs whose revision a change to ``variables`` can trigger:
-        ``(c, v)`` for every constraint ``c`` on a changed variable and
-        every *other* variable ``v`` of its scope not in ``skip``."""
-        worklist = Worklist()
-        for changed in variables:
-            for rc in self.constraints_on.get(changed, ()):
-                for v in rc.scope:
-                    if v != changed and v not in skip:
-                        worklist.push((rc, v))
-        return worklist
-
     # -- the fixpoint loop -------------------------------------------------
 
     def propagate(
         self,
-        domains: dict[Any, set[Any]],
-        worklist: Worklist,
+        domains: dict[Any, Any],
+        changed: Collection[Any] | None,
         stats: PropagationStats,
-        trail: list[tuple[Any, set[Any]]] | None = None,
+        trail: list[tuple[Any, Any]] | None = None,
         skip: Container[Any] = (),
     ) -> bool:
-        """Run revisions to fixpoint; ``False`` on a domain wipeout.
+        """Run revisions to fixpoint; ``False`` on a refutation.
 
-        Deletions are appended to ``trail`` (as ``(variable, removed-set)``
-        entries) when one is given, so the caller can roll them back with
-        :meth:`restore`.  ``skip`` excludes revision targets (assigned
-        search variables).  On a wipeout the worklist is abandoned —
-        the instance is already refuted.
+        ``changed`` names the variables whose domains just changed, and
+        the loop starts from their outgoing arcs.  ``None`` is the root
+        pass: it refutes at once when some constraint's relation is empty
+        (arity 0 included), and otherwise revises every arc once before
+        following the variables that shrank.  Deletions are appended to
+        ``trail`` (as ``(variable, removed)`` entries) when one is given,
+        so the caller can roll them back with :meth:`restore`.  ``skip``
+        excludes revision targets (assigned search variables).  On a
+        wipeout the queue is abandoned — the instance is already refuted.
         """
         sp = span(
             "propagation.fixpoint",
             engine=type(self).__name__,
-            arcs=len(worklist),
+            changed="root" if changed is None else len(changed),
         )
         if not sp:
-            return self._propagate(domains, worklist, stats, trail, skip)
+            return self._propagate(domains, changed, stats, trail, skip)
         # ``stats`` is a function argument, not the ContextVar-installed
         # object, so the span cannot capture its delta automatically.
         with sp:
             before = snapshot(stats)
-            ok = self._propagate(domains, worklist, stats, trail, skip)
+            ok = self._propagate(domains, changed, stats, trail, skip)
             sp.add_counters("propagation", counter_delta(stats, before))
             sp.note(consistent=ok)
             return ok
 
     def _propagate(
         self,
-        domains: dict[Any, set[Any]],
-        worklist: Worklist,
+        domains: dict[Any, Any],
+        changed: Collection[Any] | None,
         stats: PropagationStats,
-        trail: list[tuple[Any, set[Any]]] | None = None,
-        skip: Container[Any] = (),
+        trail: list[tuple[Any, Any]] | None,
+        skip: Container[Any],
     ) -> bool:
-        while worklist:
-            rc, variable = worklist.pop()
-            removed = rc.revise(variable, domains, stats)
-            if not removed:
-                continue
-            if trail is not None:
-                trail.append((variable, removed))
-            if not domains[variable]:
+        if changed is None:
+            if self._refuted:
                 stats.wipeouts += 1
                 return False
-            for other in self.constraints_on[variable]:
-                for v in other.scope:
-                    if v != variable and v not in skip:
-                        worklist.push((other, v))
-        return True
+            queue = deque([_ROOT])
+            pending: set[Any] = set()
+        else:
+            queue = deque(dict.fromkeys(changed))
+            pending = set(queue)
+        arcs = self._arcs
+        # Inline revisions count into locals, flushed once on exit.
+        revisions = mask_ops = 0
+        try:
+            while queue:
+                source = queue.popleft()
+                pending.discard(source)
+                for target, partner, masks, constraint in arcs[source]:
+                    if target in skip:
+                        continue
+                    if masks is None:
+                        removed = constraint.revise(target, domains, stats)
+                        if not removed:
+                            continue
+                    else:
+                        # An arity-2 bitset arc: a value survives iff its
+                        # partner mask meets the partner's domain.
+                        current = domains[target]
+                        if not current:
+                            continue
+                        revisions += 1
+                        mask_ops += current.bit_count()
+                        other = domains[partner]
+                        new = 0
+                        m = current
+                        while m:
+                            low = m & -m
+                            if masks[low.bit_length() - 1] & other:
+                                new |= low
+                            m ^= low
+                        removed = current ^ new
+                        if not removed:
+                            continue
+                        domains[target] = new
+                    if trail is not None:
+                        trail.append((target, removed))
+                    if not domains[target]:
+                        stats.wipeouts += 1
+                        return False
+                    if target not in pending:
+                        pending.add(target)
+                        queue.append(target)
+            return True
+        finally:
+            stats.revisions += revisions
+            stats.mask_ops += mask_ops
 
     @staticmethod
     def restore(
@@ -529,33 +599,68 @@ class PropagationEngine:
         """The domains as plain value sets (already are, for this engine)."""
         return domains
 
+    def scope_checks(self) -> tuple[dict[Any, list], dict[Any, list]]:
+        """MAC's per-node re-check of the constraints on each variable.
+
+        Returns ``(pairs, rows)``.  ``pairs[v]`` holds ``(other, masks)``
+        for each binary constraint on ``v`` that has partner masks: with
+        ``v`` at ``a`` and ``other`` at ``b``, the pair is allowed iff bit
+        ``b`` of ``masks[a]`` is set.  ``rows[v]`` holds ``(scope, rows)``
+        for every other constraint on ``v``, tested by row membership in
+        the engine's value space.
+        """
+        pairs: dict[Any, list] = {v: [] for v in self.instance.variables}
+        rows: dict[Any, list] = {v: [] for v in self.instance.variables}
+        for index, prepared in enumerate(self.constraints):
+            scope = prepared.scope
+            masks = getattr(prepared, "partner_masks", None)
+            if masks is None:
+                check = (scope, self._rows_of(index))
+                for v in scope:
+                    rows[v].append(check)
+            else:
+                x, y = scope
+                pairs[x].append((y, masks[0]))
+                pairs[y].append((x, masks[1]))
+        return pairs, rows
+
+    def _rows_of(self, index: int) -> frozenset[tuple[Any, ...]]:
+        """The rows of the constraint at ``index`` in the engine's value
+        space."""
+        return self.instance.constraints[index].relation
+
     def decode_assignment(self, assignment: dict[Any, Any]) -> dict[Any, Any]:
         """A plain-value copy of a solver assignment (identity here)."""
         return dict(assignment)
 
 
 class _BitsetConstraint:
-    """One code-space constraint prepared for bitset revision.
+    """One constraint prepared for bitset revision in code space.
 
-    The relation's rows are tuples of dense int codes, so support questions
-    become word operations on int bitmasks:
+    Values are read through the codec's value → code map, so support
+    questions become word operations on int bitmasks:
 
     * arity 1 — intersect the domain with the precomputed allowed mask;
     * arity 2 — for each candidate value, one ``partner_mask & other_domain``
       AND decides support (the partner masks are precomputed per value and
-      position);
+      position, and the engine's loop runs this revision inline);
     * arity ≥ 3 — walk the per-(position, value) candidate rows testing each
       entry with a ``(domain >> code) & 1`` bit probe.
 
-    Every word-level membership operation is counted in
-    ``PropagationStats.mask_ops`` — the interned analogue of the residual
-    engine's ``support_checks``.
+    Rows of arity 1 and 2 go straight into their masks; only arity ≥ 3
+    builds code-row tuples.  Every word-level membership operation is
+    counted in ``PropagationStats.mask_ops`` — the interned analogue of the
+    residual engine's ``support_checks``.
     """
 
     __slots__ = ("scope", "arity", "position", "allowed_mask", "partner_masks", "candidates")
 
     def __init__(
-        self, scope: tuple[Any, ...], rows: frozenset[tuple[int, ...]], n_codes: int
+        self,
+        scope: tuple[Any, ...],
+        relation: frozenset[tuple[Any, ...]],
+        code: dict[Any, int],
+        n_codes: int,
     ):
         self.scope = scope
         self.arity = len(scope)
@@ -566,21 +671,24 @@ class _BitsetConstraint:
         self.candidates: list[list[list[tuple[int, ...]]]] | None = None
         if self.arity == 1:
             mask = 0
-            for row in rows:
-                mask |= 1 << row[0]
+            for (a,) in relation:
+                mask |= 1 << code[a]
             self.allowed_mask = mask
         elif self.arity == 2:
             first = [0] * n_codes
             second = [0] * n_codes
-            for a, b in rows:
+            for a, b in relation:
+                a = code[a]
+                b = code[b]
                 first[a] |= 1 << b
                 second[b] |= 1 << a
             self.partner_masks = (first, second)
-        else:
+        elif self.arity:
             cand = [[[] for _ in range(n_codes)] for _ in range(self.arity)]
-            for row in rows:
-                for i, code in enumerate(row):
-                    cand[i][code].append(row)
+            for row in relation:
+                row = tuple([code[value] for value in row])
+                for i, c in enumerate(row):
+                    cand[i][c].append(row)
             self.candidates = cand
 
     def revise(
@@ -591,7 +699,8 @@ class _BitsetConstraint:
     ) -> int:
         """Remove and return (as a bitmask) the unsupported values of
         ``variable`` — the bitset counterpart of
-        :meth:`_ResidualConstraint.revise`."""
+        :meth:`_ResidualConstraint.revise`.  Arity-2 arcs never get here:
+        the engine's loop revises them inline from the partner masks."""
         position = self.position[variable]
         current = domains[variable]
         if not current:
@@ -600,19 +709,6 @@ class _BitsetConstraint:
         if self.arity == 1:
             stats.mask_ops += 1
             new = current & self.allowed_mask
-        elif self.arity == 2:
-            other = domains[self.scope[1 - position]]
-            masks = self.partner_masks[position]
-            new = 0
-            ops = 0
-            m = current
-            while m:
-                low = m & -m
-                ops += 1
-                if masks[low.bit_length() - 1] & other:
-                    new |= low
-                m ^= low
-            stats.mask_ops += ops
         else:
             scope = self.scope
             arity = self.arity
@@ -649,20 +745,21 @@ class InternedEngine(PropagationEngine):
     order, so ascending code order matches the plain engines' canonical
     value order); each variable's domain becomes one int bitmask; and
     revisions are word operations (:class:`_BitsetConstraint`).  The
-    worklist discipline, the propagate loop, and the trail protocol are
-    inherited unchanged from :class:`PropagationEngine` — a trail entry is
-    ``(variable, removed_mask)`` and restore is ``domains[v] |= mask``,
-    which is the same ``|=`` the set engine uses.
+    fixpoint loop and the trail protocol are inherited unchanged from
+    :class:`PropagationEngine` — a trail entry is ``(variable,
+    removed_mask)`` and restore is ``domains[v] |= mask``, which is the
+    same ``|=`` the set engine uses.  Arity-2 arcs carry their partner
+    masks, so the shared loop revises them inline.
 
     Callers that build one should charge ``intern_tables += 1`` and
     ``bitset_words += engine.bitset_words`` to their stats object, so the
     representation cost stays visible next to the ``mask_ops`` it buys.
 
     The instance's rows are validated already, so the engine encodes them
-    in one pass through the codec's value → code map: ``code_constraints``
-    holds one ``(scope, code rows)`` pair per constraint, in instance
-    order, and every code-space consumer (the revision structures, MAC's
-    per-node consistency check) reads those rows.
+    in one pass through the codec's value → code map, straight into the
+    masks for arities 1 and 2.  Code rows are built on demand only:
+    :attr:`code_constraints` holds one ``(scope, code rows)`` pair per
+    constraint, in instance order, for the consumers that read rows.
     """
 
     def __init__(self, instance: CSPInstance):
@@ -670,26 +767,48 @@ class InternedEngine(PropagationEngine):
             instance = instance.normalize()
         self.instance = instance
         self.codec = Codec(instance.domain)
-        code = self.codec.code_map.__getitem__
-        self.code_constraints: list[tuple[tuple[Any, ...], frozenset[tuple[int, ...]]]] = [
-            (c.scope, frozenset([tuple(map(code, row)) for row in c.relation]))
-            for c in instance.constraints
-        ]
         n = len(self.codec)
         self.full_mask = (1 << n) - 1
         self.bitset_words = len(instance.variables) * ((n + 63) // 64 if n else 0)
+        self._code_rows: list[frozenset[tuple[int, ...]] | None] = [None] * len(
+            instance.constraints
+        )
         self.constraints = self._prepare(n)
-        self.constraints_on = {v: [] for v in instance.variables}
-        for bc in self.constraints:
-            for v in bc.scope:
-                self.constraints_on[v].append(bc)
+        self._build_arcs()
+
+    @property
+    def code_constraints(self) -> list[tuple[tuple[Any, ...], frozenset[tuple[int, ...]]]]:
+        """``(scope, code rows)`` per constraint, in instance order."""
+        return [
+            (c.scope, self._rows_of(i)) for i, c in enumerate(self.instance.constraints)
+        ]
+
+    def _rows_of(self, index: int) -> frozenset[tuple[int, ...]]:
+        """The code rows of the constraint at ``index``, encoded on first
+        use."""
+        rows = self._code_rows[index]
+        if rows is None:
+            code = self.codec.code_map.__getitem__
+            rows = frozenset(
+                [tuple(map(code, row)) for row in self.instance.constraints[index].relation]
+            )
+            self._code_rows[index] = rows
+        return rows
 
     def _prepare(self, n_codes: int) -> list[Any]:
-        """The revision structure of each code-space constraint."""
+        """The revision structure of each constraint."""
+        code = self.codec.code_map
         return [
-            _BitsetConstraint(scope, rows, n_codes)
-            for scope, rows in self.code_constraints
+            _BitsetConstraint(c.scope, c.relation, code, n_codes)
+            for c in self.instance.constraints
         ]
+
+    def _arcs_of(self, constraint: Any) -> list[tuple]:
+        masks = getattr(constraint, "partner_masks", None)
+        if masks is None:
+            return super()._arcs_of(constraint)
+        x, y = constraint.scope
+        return [(x, y, masks[0], constraint), (y, x, masks[1], constraint)]
 
     def charge_build(self, stats: PropagationStats) -> None:
         stats.intern_tables += 1
@@ -888,7 +1007,7 @@ class ColumnarEngine(InternedEngine):
 
     Everything about the code space is inherited from
     :class:`InternedEngine` — the codec, the bitmask domains, the trail
-    protocol, the worklist discipline, and the generic domain protocol —
+    protocol, the fixpoint loop, and the generic domain protocol —
     so the engine computes the *identical* fixpoint, including identical
     partial domains on a wipeout and identical MAC search trees.  Only the
     per-constraint :meth:`revise` changes: with numpy available the

@@ -109,7 +109,7 @@ class CSPInstance:
         values from ``D``.
     """
 
-    __slots__ = ("_variables", "_domain", "_constraints")
+    __slots__ = ("_variables", "_domain", "_constraints", "_normalized")
 
     def __init__(
         self,
@@ -132,6 +132,8 @@ class CSPInstance:
                     if value not in self._domain:
                         raise DomainError(f"constraint value {value!r} not in the domain")
         self._constraints = constraints
+        # Answered on first call to is_normalized (instances are immutable).
+        self._normalized: bool | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -211,14 +213,22 @@ class CSPInstance:
             else:
                 by_scope[scope] = relation
         constraints = [Constraint(s, r) for s, r in by_scope.items()]
-        return CSPInstance(self._variables, self._domain, constraints)
+        normalized = CSPInstance(self._variables, self._domain, constraints)
+        normalized._normalized = True
+        return normalized
 
     def is_normalized(self) -> bool:
-        """Whether every scope has distinct variables and occurs at most once."""
-        scopes = [c.scope for c in self._constraints]
-        return len(set(scopes)) == len(scopes) and all(
-            len(set(scope)) == len(scope) for scope in scopes
-        )
+        """Whether every scope has distinct variables and occurs at most once.
+
+        Computed on the first call and remembered, since a solve asks it
+        several times of the same instance.
+        """
+        if self._normalized is None:
+            scopes = [c.scope for c in self._constraints]
+            self._normalized = len(set(scopes)) == len(scopes) and all(
+                len(set(scope)) == len(scope) for scope in scopes
+            )
+        return self._normalized
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,8 @@ Three inference levels are provided:
   sets of neighbouring unassigned variables through binary and almost-
   instantiated constraints;
 * ``Inference.MAC`` — maintain (generalized) arc consistency on the residual
-  problem after each assignment (AC-3 over constraint/variable arcs).
+  problem after each assignment: the engines' fixpoint starts from the
+  assigned variable alone and queues each variable that shrinks.
 
 MAC takes the same ``strategy`` knob as the §5 consistency engines:
 ``"residual"`` (default) maintains arc consistency through one shared
@@ -30,6 +31,14 @@ is available (and degrade to the interned bit loop when it is not).
 Assigned variables carry singleton domains, so the engine's domains-only
 revisions coincide with the assignment-aware ones.
 
+A node costs one pin, one fixpoint over the precomputed arc blocks of the
+variables that change, a trail rollback on backtrack, and a re-check of
+the constraints whose scopes the assignment completes.  Under the bitset
+engines that re-check reads a binary constraint's partner masks, so the
+engine builds no code rows for binary (or unary) constraints at all: it
+turns their rows straight into masks in one pass.  The root pass refutes
+an instance with an empty relation, arity 0 included.
+
 Variable order is dynamic (minimum-remaining-values, ties by degree); value
 order is deterministic: both the tie-break rank of the variables and the
 canonical value order are precomputed once per solve, so no hot-loop
@@ -48,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.consistency.propagation import (
-    InternedEngine,
     PropagationEngine,
     PropagationStats,
     check_propagation_strategy,
@@ -196,8 +204,13 @@ def _ac3(
     """Generalized AC-3 on the residual problem.  Returns False on wipe-out.
 
     ``seeds``: variables whose change should initially trigger revisions; if
-    ``None``, all constraint/variable arcs are enqueued.
+    ``None`` (the root pass), an empty relation refutes at once (no arc
+    reaches one of arity 0), and otherwise all constraint/variable arcs are
+    enqueued.
     """
+    if seeds is None and any(not c.relation for c in instance.constraints):
+        stats.propagation.wipeouts += 1
+        return False
     constraints_on: dict[Any, list[Constraint]] = {v: [] for v in instance.variables}
     for c in instance.constraints:
         for v in c.variables():
@@ -337,22 +350,21 @@ def _search_with_stats(
         # historical per-node ``sorted(domain, key=repr)``.
         ordered_domain = sorted(instance.domain, key=repr)
 
-    # Node-consistency checks read each variable's (scope, rows) pairs.  In
-    # interned mode the assignment holds codes, so the rows are the engine's
-    # code-space rows.
-    checks: dict[Any, list[tuple[tuple[Any, ...], frozenset]]] = {
-        v: [] for v in instance.variables
-    }
-    for scope, rows in (
-        engine.code_constraints
-        if isinstance(engine, InternedEngine)
-        else [(c.scope, c.relation) for c in instance.constraints]
-    ):
-        for v in scope:
-            checks[v].append((scope, rows))
+    # Node-consistency checks, per variable: binary constraints with
+    # partner masks as (other, masks) pairs, every other constraint as
+    # (scope, rows).  In interned mode the assignment holds codes, so both
+    # are in code space.
+    if engine is not None:
+        pair_checks, row_checks = engine.scope_checks()
+    else:
+        pair_checks = {v: [] for v in instance.variables}
+        row_checks = {v: [] for v in instance.variables}
+        for c in instance.constraints:
+            for v in c.scope:
+                row_checks[v].append((c.scope, c.relation))
     # Normalized scopes have distinct variables, so this is the number of
     # constraints on each variable.
-    degree = {v: len(on) for v, on in checks.items()}
+    degree = {v: len(pair_checks[v]) + len(row_checks[v]) for v in instance.variables}
     # Hoisted tie-break rank: monotone with repr(v), so the MRV selection
     # below is identical to the historical per-node repr comparison.
     var_rank = {v: i for i, v in enumerate(sorted(instance.variables, key=repr))}
@@ -413,7 +425,11 @@ def _search_with_stats(
         return min(unassigned, key=lambda v: (dsize(v), -degree[v], var_rank[v]))
 
     def consistent(variable: Any) -> bool:
-        for scope, rows in checks[variable]:
+        value = assignment[variable]
+        for other, masks in pair_checks[variable]:
+            if other in assignment and not (masks[value] >> assignment[other]) & 1:
+                return False
+        for scope, rows in row_checks[variable]:
             for v in scope:
                 if v not in assignment:
                     break
@@ -436,11 +452,7 @@ def _search_with_stats(
                     # the engine records every propagation deletion.
                     trail = [(variable, engine.pin(domains, variable, value))]
                     ok = engine.propagate(
-                        domains,
-                        engine.arcs_from([variable], skip=assignment),
-                        prop,
-                        trail=trail,
-                        skip=assignment,
+                        domains, (variable,), prop, trail=trail, skip=assignment
                     )
                     stats.prunings += trailed_prunings(trail[1:])
                     if ok and search():
@@ -471,9 +483,7 @@ def _search_with_stats(
     try:
         if engine is not None:
             root_trail: list[tuple[Any, set[Any]]] = []
-            ok = engine.propagate(
-                domains, engine.full_worklist(), prop, trail=root_trail
-            )
+            ok = engine.propagate(domains, None, prop, trail=root_trail)
             stats.prunings += trailed_prunings(root_trail)
             if not ok:
                 return stats

@@ -7,7 +7,8 @@ acyclicity and bounded width (§6).  This module is the operational summary:
 method that its structure licenses, falling back to conflict-directed
 search.
 
-Routing order (first match wins):
+An instance with an empty relation (arity 0 included) is answered
+``None`` before routing.  Routing order (first match wins):
 
 1. empty/trivial instances — answered directly;
 2. Boolean instances in a Schaefer class — the dedicated polynomial solver;
@@ -21,10 +22,12 @@ Routing order (first match wins):
    ``"residual"`` engine, with revisions as word operations).
 
 Routes 4 and 5 are gated by the constraint graph's degeneracy, computed
-once.  A degeneracy at least the largest arity rules out acyclicity, and
-one above ``width_cutoff`` rules out the treewidth route, so the GYO
-reduction and the elimination heuristics only run when they can succeed.
-The gate never changes a route.
+once by bucket peeling straight from the scopes (the graph itself is
+built only when the treewidth heuristic runs).  A degeneracy at least the
+largest arity rules out acyclicity, and one above ``width_cutoff`` rules
+out the treewidth route, so the GYO reduction and the elimination
+heuristics only run when they can succeed.  The gate never changes a
+route.
 
 :func:`explain` returns the route that would be taken, for observability.
 """
@@ -89,7 +92,7 @@ def explain(instance: CSPInstance, width_cutoff: int = DEFAULT_WIDTH_CUTOFF) -> 
     from repro.dichotomy.schaefer import classify_instance, is_tractable
     from repro.width.acyclic import is_acyclic
     from repro.width.gaifman import constraint_graph, instance_hypergraph
-    from repro.width.lowerbounds import degeneracy
+    from repro.width.lowerbounds import scope_degeneracy
     from repro.width.treedecomp import treewidth_upper_bound
 
     instance = instance.normalize()
@@ -100,8 +103,9 @@ def explain(instance: CSPInstance, width_cutoff: int = DEFAULT_WIDTH_CUTOFF) -> 
     p = _domain_prime(instance)
     if p is not None and p > 2 and is_coset_instance(instance, p):
         return Route.COSET
-    graph = constraint_graph(instance)
-    width = degeneracy(graph)
+    width = scope_degeneracy(
+        instance.variables, [c.scope for c in instance.constraints]
+    )
     # Normalized scopes have distinct variables: the largest arity is the
     # largest hyperedge, and 0 means there are no non-empty hyperedges.
     largest = instance.max_arity()
@@ -109,7 +113,10 @@ def explain(instance: CSPInstance, width_cutoff: int = DEFAULT_WIDTH_CUTOFF) -> 
         [e for e in instance_hypergraph(instance) if e]
     ):
         return Route.ACYCLIC
-    if width <= width_cutoff and treewidth_upper_bound(graph) <= width_cutoff:
+    if (
+        width <= width_cutoff
+        and treewidth_upper_bound(constraint_graph(instance)) <= width_cutoff
+    ):
         return Route.TREEWIDTH
     return Route.SEARCH
 
@@ -124,12 +131,14 @@ def solve(
     from repro.width.acyclic import yannakakis_solve
 
     instance = instance.normalize()
+    if any(not c.relation for c in instance.constraints):
+        # An empty relation (arity 0 included) has no solution on any route.
+        return None
     route = explain(instance, width_cutoff)
 
     if route == Route.TRIVIAL:
         if not instance.variables:
-            ok = all(c.relation for c in instance.constraints) or not instance.constraints
-            return {} if ok else None
+            return {}
         if not instance.domain:
             return None
         value = sorted(instance.domain, key=repr)[0]

@@ -101,7 +101,7 @@ def _split(instance: CSPInstance):
     prop = PropagationStats()
     engine.charge_build(prop)
     domains = engine.fresh_domains()
-    if not engine.propagate(domains, engine.full_worklist(), prop):
+    if not engine.propagate(domains, None, prop):
         return "refuted", None, prop
     variables = list(normalized.variables)
     branchable = [v for v in variables if engine.domain_size(domains, v) >= 2]

@@ -6,7 +6,8 @@ exact value in tests, and seed the exact search's pruning.
 
 * **degeneracy** — the maximum over subgraphs of the minimum degree; every
   tree decomposition of width w yields an elimination order with back-degree
-  ≤ w, so degeneracy ≤ treewidth;
+  ≤ w, so degeneracy ≤ treewidth (:func:`scope_degeneracy` computes it for
+  a constraint graph straight from the scopes, in linear time);
 * **clique number** — a clique of size ω must fit inside one bag, so
   ω − 1 ≤ treewidth (exact search for small graphs, greedy otherwise);
 * **MMD+** — the "minor-min-degree" improvement of degeneracy: repeatedly
@@ -18,12 +19,13 @@ exact value in tests, and seed the exact search's pruning.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any
+from typing import Any, Hashable, Iterable, Sequence
 
 from repro.width.graph import Graph
 
 __all__ = [
     "degeneracy",
+    "scope_degeneracy",
     "clique_number",
     "clique_lower_bound",
     "mmd_plus_lower_bound",
@@ -40,6 +42,44 @@ def degeneracy(graph: Graph) -> int:
         v = min(sorted(work.vertices, key=repr), key=work.degree)
         best = max(best, work.degree(v))
         work.remove_vertex(v)
+    return best
+
+
+def scope_degeneracy(
+    vertices: Iterable[Hashable], scopes: Iterable[Sequence[Hashable]]
+) -> int:
+    """The degeneracy of the graph joining every two vertices that share a
+    scope, without building a :class:`Graph`.
+
+    Bucket peeling (Matula–Beck): vertices sit in buckets by current
+    degree, and each step removes one from the lowest non-empty bucket.
+    Any minimum-degree order gives the same maximum, so this equals
+    :func:`degeneracy` of the same graph, in O(V + Σ|scope|²) time.
+    """
+    neighbours: dict[Any, set[Any]] = {v: set() for v in vertices}
+    for scope in scopes:
+        for v in scope:
+            neighbours[v].update(scope)
+    degree: dict[Any, int] = {}
+    buckets: list[set[Any]] = [set() for _ in neighbours]
+    for v, adjacent in neighbours.items():
+        adjacent.discard(v)
+        degree[v] = len(adjacent)
+        buckets[len(adjacent)].add(v)
+    best = low = 0
+    for _ in range(len(neighbours)):
+        while not buckets[low]:
+            low += 1
+        v = buckets[low].pop()
+        del degree[v]
+        best = max(best, low)
+        for u in neighbours[v]:
+            d = degree.get(u)
+            if d is not None:
+                buckets[d].remove(u)
+                buckets[d - 1].add(u)
+                degree[u] = d - 1
+        low = max(low - 1, 0)
     return best
 
 

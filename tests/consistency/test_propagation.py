@@ -10,6 +10,7 @@ from repro.consistency.propagation import (
     check_propagation_strategy,
     collect_propagation,
     current_propagation,
+    make_engine,
     publish,
 )
 from repro.csp.instance import Constraint, CSPInstance
@@ -132,7 +133,7 @@ class TestPropagationEngine:
         engine = PropagationEngine(inst)
         domains = engine.fresh_domains()
         stats = PropagationStats()
-        assert engine.propagate(domains, engine.full_worklist(), stats)
+        assert engine.propagate(domains, None, stats)
         assert domains["x"] == {1}
         assert domains["y"] == {2}
 
@@ -144,7 +145,7 @@ class TestPropagationEngine:
         engine = PropagationEngine(inst)
         domains = engine.fresh_domains()
         stats = PropagationStats()
-        assert not engine.propagate(domains, engine.full_worklist(), stats)
+        assert not engine.propagate(domains, None, stats)
         assert stats.wipeouts == 1
 
     def test_trail_records_deletions_and_restore_round_trips(self):
@@ -153,9 +154,7 @@ class TestPropagationEngine:
         stats = PropagationStats()
         trail = [("x", domains["x"] - {0})]
         domains["x"] = {0}
-        assert engine.propagate(
-            domains, engine.arcs_from(["x"]), stats, trail=trail
-        )
+        assert engine.propagate(domains, ["x"], stats, trail=trail)
         assert domains["y"] == {1} and domains["z"] == {0}
         engine.restore(domains, trail, stats)
         assert not trail
@@ -165,19 +164,30 @@ class TestPropagationEngine:
     def test_residual_supports_hit_on_repeat_propagation(self):
         engine = PropagationEngine(chain_instance())
         first = PropagationStats()
-        engine.propagate(engine.fresh_domains(), engine.full_worklist(), first)
+        engine.propagate(engine.fresh_domains(), None, first)
         second = PropagationStats()
-        engine.propagate(engine.fresh_domains(), engine.full_worklist(), second)
+        engine.propagate(engine.fresh_domains(), None, second)
         # Supports stored during the first pass answer the second pass:
         # every check is a stored-row re-verification, none was on pass one.
         assert first.support_hits == 0
         assert second.support_hits == second.support_checks > 0
 
-    def test_arcs_from_excludes_changed_and_skipped(self):
-        engine = PropagationEngine(chain_instance())
-        arcs = engine.arcs_from(["y"], skip={"z"})
-        targets = set()
-        while arcs:
-            _rc, v = arcs.pop()
-            targets.add(v)
-        assert targets == {"x"}
+    def test_skip_targets_are_never_revised(self):
+        for strategy in ("residual", "interned", "columnar"):
+            engine = make_engine(chain_instance(), strategy)
+            domains = engine.fresh_domains()
+            engine.pin(domains, "y", engine.domain_values(domains, "y")[0])
+            stats = PropagationStats()
+            assert engine.propagate(domains, ["y"], stats, skip={"y", "z"})
+            # One revision, of x: not the pinned y when x shrank, and not z,
+            # whose value 0 lost its support and would have gone.
+            assert stats.revisions == 1, strategy
+            assert engine.export_domains(domains) == {"x": {1}, "y": {0}, "z": {0, 1}}
+
+    def test_root_pass_refutes_an_empty_nullary_relation(self):
+        inst = CSPInstance(["x"], [0, 1], [Constraint((), [])])
+        for strategy in ("residual", "interned", "columnar"):
+            engine = make_engine(inst, strategy)
+            stats = PropagationStats()
+            assert not engine.propagate(engine.fresh_domains(), None, stats)
+            assert stats.wipeouts == 1 and stats.revisions == 0

@@ -198,10 +198,10 @@ class TestNumpyAbsentFallback:
         assert isinstance(engine, ColumnarEngine)
         assert all(isinstance(c, _BitsetConstraint) for c in engine.constraints)
         domains = engine.fresh_domains()
-        assert engine.propagate(domains, engine.full_worklist(), PropagationStats())
+        assert engine.propagate(domains, None, PropagationStats())
         interned = InternedEngine(inst)
         expected = interned.fresh_domains()
-        interned.propagate(expected, interned.full_worklist(), PropagationStats())
+        interned.propagate(expected, None, PropagationStats())
         assert domains == expected
 
 

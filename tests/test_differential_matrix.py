@@ -10,8 +10,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consistency.arc import ac3, singleton_arc_consistency
+from repro.consistency.propagation import PropagationStats, make_engine
 from repro.csp.convert import csp_to_homomorphism
 from repro.csp.instance import Constraint, CSPInstance
 from repro.csp.solvers import (
@@ -27,6 +30,7 @@ from repro.csp.solvers.backtracking import Inference
 from repro.csp.solvers.consistency import Verdict
 from repro.games.lfp import duplicator_wins_via_lfp
 from repro.games.pebble import duplicator_wins
+from repro.generators.csp_random import random_binary_csp
 from repro.relational.homomorphism import homomorphism_exists
 
 
@@ -106,6 +110,92 @@ def test_all_deciders_agree(seed):
         assert decide(inst) == expected, f"{name} disagrees on seed {seed}"
 
 
+@st.composite
+def mixed_arity_instances(draw):
+    """Instances with scopes of arity 0–3, so empty and full nullary
+    relations (``Constraint((), [])`` has no solution) occur too."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 3))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        arity = draw(st.integers(0, min(3, n)))
+        scope = tuple(draw(st.permutations(range(n)))[:arity])
+        rows = draw(
+            st.lists(st.tuples(*[st.integers(0, d - 1)] * arity), max_size=2 * d)
+        )
+        constraints.append(Constraint(scope, rows))
+    return CSPInstance(range(n), range(d), constraints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_arity_instances())
+def test_all_deciders_agree_with_nullary_scopes(inst):
+    expected = brute.is_solvable(inst)
+    for name, decide in DECIDERS:
+        assert decide(inst) == expected, name
+
+
+ENGINE_STRATEGIES = ("residual", "interned", "columnar")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_arity_instances(), st.data())
+def test_changed_variable_fixpoint_matches_naive_ac(inst, data):
+    """From the root fixpoint, pin one variable and propagate from it alone,
+    skipping it: each engine reaches the domains and verdict naive AC-3
+    reaches on the instance with the pin added as a unary constraint, and
+    the three engines delete the same values in the same order."""
+    norm = inst.normalize()
+    root = ac3(norm, strategy="naive")
+    engines = [make_engine(norm, strategy) for strategy in ENGINE_STRATEGIES]
+    states = [engine.fresh_domains() for engine in engines]
+    for engine, domains in zip(engines, states):
+        assert engine.propagate(domains, None, PropagationStats()) == root.consistent
+        if root.consistent:
+            assert engine.export_domains(domains) == root.domains
+    if not root.consistent:
+        return
+    variable = data.draw(st.sampled_from(norm.variables))
+    k = data.draw(st.integers(0, len(root.domains[variable]) - 1))
+    value = sorted(root.domains[variable], key=repr)[k]
+    pinned = CSPInstance(
+        norm.variables,
+        norm.domain,
+        list(norm.constraints) + [Constraint((variable,), [(value,)])],
+    )
+    expected = ac3(pinned, strategy="naive")
+    trails = []
+    for engine, domains in zip(engines, states):
+        code = engine.domain_values(domains, variable)[k]
+        trail = [(variable, engine.pin(domains, variable, code))]
+        ok = engine.propagate(
+            domains, [variable], PropagationStats(), trail=trail, skip={variable}
+        )
+        assert ok == expected.consistent
+        if ok:
+            assert engine.export_domains(domains) == expected.domains
+        trails.append([(v, engine.export_domains({v: r})[v]) for v, r in trail])
+    assert trails[0] == trails[1] == trails[2]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_mac_trees_agree_on_csp_solve_shapes(seed):
+    """Model-B instances shaped like the csp-solve benchmark (20 variables,
+    domain 6, 60 constraints, 15 of 36 pairs forbidden): deep enough trees
+    that the per-node fixpoint matters.  The three engines agree on nodes,
+    backtracks, prunings and solution; naive AC-3 on nodes, backtracks and
+    solution."""
+    inst = random_binary_csp(20, 6, 60, 15 / 36, seed=seed)
+    trees = {}
+    for strategy in ("naive",) + ENGINE_STRATEGIES:
+        stats = backtracking.solve_with_stats(inst, Inference.MAC, strategy=strategy)
+        if stats.solution is not None:
+            assert inst.is_solution(stats.solution), strategy
+        trees[strategy] = (stats.nodes, stats.backtracks, stats.solution, stats.prunings)
+    assert trees["residual"] == trees["interned"] == trees["columnar"], seed
+    assert trees["naive"][:3] == trees["residual"][:3], seed
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_counting_agrees(seed):
     inst = random_instance(seed + 1000)
@@ -181,7 +271,7 @@ def test_propagation_strategies_identical(seed):
     fixpoint domains whenever consistent.  (On a wipeout the *partial*
     domains of any AC variant depend on worklist pop order, so only the
     verdict is compared — except residual vs interned, which share the
-    worklist discipline and so agree even on partial wipeout domains.)
+    fixpoint loop and so agree even on partial wipeout domains.)
 
     The instance family mixes unary through ternary constraints, so the
     sweep covers generalized (non-binary) arc consistency too.
@@ -201,7 +291,7 @@ def test_propagation_strategies_identical(seed):
     if ac_naive.consistent:
         assert ac_naive.domains == ac_res.domains, f"ac3 domains, seed {seed}"
     assert ac_res.domains == ac_int.domains, f"ac3 interned domains, seed {seed}"
-    # The columnar engine inherits the interned worklist discipline, so its
+    # The columnar engine shares the interned fixpoint loop, so its
     # domains match even on partial wipeouts.
     assert ac_int.domains == ac_col.domains, f"ac3 columnar domains, seed {seed}"
 

@@ -17,6 +17,7 @@ from repro.width.lowerbounds import (
     clique_number,
     degeneracy,
     mmd_plus_lower_bound,
+    scope_degeneracy,
     treewidth_lower_bound,
 )
 from repro.width.treedecomp import treewidth_exact, treewidth_upper_bound
@@ -95,3 +96,22 @@ def test_individual_bounds_valid(edges):
     assert degeneracy(g) <= exact
     assert clique_lower_bound(g) <= exact
     assert mmd_plus_lower_bound(g) <= exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=4), max_size=20),
+)
+def test_scope_degeneracy_matches_the_graph_definition(n, scopes):
+    """Bucket peeling from scopes equals min-degree elimination on the
+    constraint graph, isolated vertices (and repeated or self-only scopes)
+    included."""
+    scopes = [[v % n for v in scope] for scope in scopes]
+    graph = Graph(vertices=range(n))
+    for scope in scopes:
+        for u in scope:
+            for v in scope:
+                graph.add_edge(u, v)
+    assert scope_degeneracy(range(n), scopes) == degeneracy(graph)
+    assert scope_degeneracy(range(n), graph.edges()) == degeneracy(graph)
