@@ -45,7 +45,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Collection, Container, Hashable, Iterable, Iterator
+from typing import Any, Collection, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.csp.instance import Constraint, CSPInstance
 from repro.relational.interning import Codec, bit_positions
@@ -321,10 +321,10 @@ class _ResidualConstraint:
         # (position, value) → last row found to support the value there.
         self._supports: dict[tuple[int, Any], tuple[Any, ...]] = {}
 
-    def candidates(self, position: int, value: Any) -> list[tuple[Any, ...]]:
-        """Rows carrying ``value`` at ``position`` (memoized hash-index group)."""
-        index = self.relation.index_on((self._attrs[position],))
-        return index.get((value,), [])  # type: ignore[return-value]
+    def candidates(self, position: int) -> Mapping[tuple[Any], Sequence[tuple[Any, ...]]]:
+        """The rows grouped by their value at ``position``: the memoized
+        hash index on that column, keyed by 1-tuples."""
+        return self.relation.index_on((self._attrs[position],))
 
     def row_valid(self, row: tuple[Any, ...], domains: dict[Any, set[Any]]) -> bool:
         scope = self.scope
@@ -351,6 +351,7 @@ class _ResidualConstraint:
             return set()
         stats.revisions += 1
         removed: set[Any] = set()
+        groups = self.candidates(position)
         for value in current:
             key = (position, value)
             stored = self._supports.get(key)
@@ -359,7 +360,7 @@ class _ResidualConstraint:
                 if self.row_valid(stored, domains):
                     stats.support_hits += 1
                     continue
-            for row in self.candidates(position, value):
+            for row in groups.get((value,), ()):
                 if row is stored:
                     continue  # already found invalid just above
                 stats.support_checks += 1

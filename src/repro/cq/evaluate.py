@@ -340,9 +340,11 @@ def refresh_answer(
     * K = π_H(C ⋈ every body atom over ``after``) — those still derived;
     * the result is (``answer`` − (C − K)) ∪ A.
 
-    Each seeded join starts from its seed and probes the other atoms'
-    relations on the default fused fold, their join-key indexes warmed on
-    the structure (where a maintained structure's pools adopt them), so it
+    Each seeded join is ``join_all(..., seed=...)`` on the default
+    execution: it plans nothing, starts from its seed's rows and probes
+    the other atoms' relations — an atom whose variables are all bound by
+    membership in its rows, any other on a join-key index memoized on the
+    structure (where a maintained structure's pools adopt it) — so it
     costs O(|Δ| · fan-out) whatever ``strategy`` the answer was first
     evaluated with.  Self-joins only over-approximate A and C, and C is
     re-checked by K.  A body whose answer is one atom's own relation is
@@ -394,13 +396,11 @@ def _expander(query: ConjunctiveQuery, variables: tuple[str, ...]):
 def _seeded_join(
     seed: Relation, atoms: tuple[Atom, ...], database: Structure, attributes: tuple[str, ...]
 ) -> frozenset[tuple]:
-    """The rows of π_attributes(seed ⋈ the atoms over ``database``) on the
-    default fused fold, the atoms' join-key indexes warmed first so the
-    fold probes them from the seed's side."""
-    relations = [seed] + [atom_relation(atom, database) for atom in atoms]
-    return join_all(
-        relations, attributes=attributes, lasting=range(1, len(relations))
-    ).tuples
+    """The rows of π_attributes(seed ⋈ the atoms over ``database``), on
+    :func:`join_all`'s seeded kernel: no plan, the seed's rows probing the
+    atoms' memoized join-key indexes."""
+    relations = [atom_relation(atom, database) for atom in atoms]
+    return join_all(relations, attributes=attributes, seed=seed).tuples
 
 
 def evaluate_boolean(

@@ -13,7 +13,7 @@ plain ``{predicate: set-of-tuples}`` mappings over the EDB predicates.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from repro.cq.evaluate import atom_shape, translate_atom
 from repro.cq.query import Atom, Var
@@ -94,48 +94,68 @@ def _apply_rule(
     delta: Facts | None = None,
     strategy: str | None = None,
     cache: _AtomCache | None = None,
-    static: frozenset[str] = frozenset(),
     seed: Relation | None = None,
+    excluded: Mapping[str, Collection[tuple[Any, ...]]] | None = None,
 ) -> frozenset[tuple[Any, ...]]:
     """Evaluate one rule under the current predicate values: the head
     facts of π_H(body), H the head's distinct variables, on
     ``join_all(..., attributes=H)``.
 
     In semi-naive mode (``delta_atom_index`` set) the designated body atom
-    reads the *delta* value of its predicate instead of the full value.
-    ``seed``, a relation over some of the body's variables, joins in as one
-    more operand (DRed's rederivation seeds the body with the over-deleted
-    head facts).  ``strategy`` picks the rule body's join order and
-    execution (``"textbook"`` keeps the order the body was written in;
-    ``"scan"`` forces nested loops; the default is the cost-guided plan
-    over the fused hash join-project fold, every other execution projects
-    once at the end).  ``static`` names the predicates whose relations
-    persist across rounds (the EDBs): their join-key indexes are warmed up
-    front so every round after the first probes them for free.
+    reads the *delta* value of its predicate instead of the full value,
+    and that relation seeds the join (``join_all(..., seed=...)``).
+    ``seed``, a relation over some of the body's variables, seeds it
+    instead, every body atom then reading its full value (DRed's
+    rederivation seeds the body with the over-deleted head facts).  A
+    seeded join under the default execution plans nothing: it starts from
+    the seed's rows and probes the other atoms' memoized join-key indexes,
+    which persist across rounds — and, under incremental maintenance,
+    across update batches — through ``cache``.  ``strategy`` picks the
+    join order and execution of an unseeded body (``"textbook"`` keeps
+    the order the body was written in; ``"scan"`` forces nested loops;
+    the default is the cost-guided plan over the fused hash join-project
+    fold, every other execution projects once at the end) and the
+    execution of a seeded one.
+
+    ``excluded`` maps predicates to facts their value in ``values`` still
+    holds but that are no longer part of it (DRed's over-deleted facts,
+    not yet subtracted).  A body with a non-delta atom over such a
+    predicate joins over all its variables, and the valuations that use
+    an excluded fact are dropped before the head is read off.
     """
-    relations = [] if seed is None else [seed]
-    lasting = []
+    relations = []
     for i, atom in enumerate(rule.body):
         if i == delta_atom_index:
             # Delta values are fresh every round and never read again, so
             # caching their relations would only evict the persistent
             # snapshots (the bounded per-atom cache is FIFO).
             value = (delta or {}).get(atom.predicate, frozenset())
-            relations.append(_atom_to_relation(atom, value, None))
+            fresh = _atom_to_relation(atom, value, None)
+            if seed is None:
+                seed = fresh
+            else:
+                relations.append(fresh)
             continue
-        # Beside a delta or a seed every body relation is stable: it reads
-        # a snapshot that persists across rounds (and, under incremental
-        # maintenance, across update batches) through the atom cache, so a
-        # warmed index amortizes.  The fresh operand stays the probe side.
-        if atom.predicate in static or delta_atom_index is not None or seed is not None:
-            lasting.append(len(relations))
         value = values.get(atom.predicate, frozenset())
         relations.append(_atom_to_relation(atom, value, cache))
     variables = tuple(dict.fromkeys(v.name for v in rule.head.variables()))
-    if not relations:
+    if seed is None and not relations:
         return frozenset(_instantiate(rule.head, variables, [()]))
-    joined = join_all(relations, strategy=strategy, attributes=variables, lasting=lasting)
-    return frozenset(_instantiate(rule.head, variables, joined.tuples))
+    checks = [
+        atom
+        for i, atom in enumerate(rule.body)
+        if i != delta_atom_index and excluded.get(atom.predicate)
+    ] if excluded else []
+    if checks:
+        variables = tuple(
+            dict.fromkeys(v.name for atom in rule.body for v in atom.variables())
+        )
+    rows = join_all(relations, strategy=strategy, attributes=variables, seed=seed).tuples
+    for atom in checks:
+        gone = excluded[atom.predicate]  # type: ignore[index]
+        facts = _instantiate(atom, variables, rows)
+        rows = [row for row, fact in zip(rows, facts) if fact not in gone]
+    return frozenset(_instantiate(rule.head, variables, rows))
 
 
 def _instantiate(
@@ -169,9 +189,9 @@ def seminaive_closure(
     delta: Facts,
     strategy: str | None = None,
     cache: Any = None,
-    static: frozenset[str] = frozenset(),
     first_round: int = 1,
     journal: dict[str, list] | None = None,
+    removed: Mapping[str, Collection[tuple[Any, ...]]] | None = None,
 ) -> int:
     """Run semi-naive delta rounds until no rule derives a new fact.
 
@@ -180,23 +200,31 @@ def seminaive_closure(
     *new* relative to the previous state — already part of ``values`` — in
     a from-scratch evaluation these are the round-0 IDB derivations, in
     incremental maintenance (:mod:`repro.datalog.incremental`) they are
-    freshly inserted EDB facts and rederivation seeds.  Per round, each
+    freshly inserted EDB facts and rederived facts.  Per round, each
     rule is instantiated once per body atom whose predicate has a nonempty
     delta, with that atom reading the delta value only — the classical "at
     least one new fact per derivation" argument, which is what lets an
-    update batch touch only the affected part of the fixpoint.
+    update batch touch only the affected part of the fixpoint.  Every such
+    instantiation is a seeded join (``join_all(..., seed=<the delta>)``),
+    so no round runs the planner.
 
     A round's new facts go to a per-predicate *pending* set, and a derived
     fact is new when it is in neither the value nor that set.  The pending
     facts are folded into ``values[p]`` — one copy of the value — only
     before a round whose joins read ``p`` at a non-delta position, and
     once at the end: on transitive closure that is one copy of ``T`` per
-    closure, not one per round.  When ``journal`` is given, each round's
-    new facts are appended to ``journal[p]``.  Returns the number of delta
-    rounds run.
+    closure, not one per round.  ``removed`` maps predicates to facts that
+    ``values[p]`` still holds but that are no longer part of it (DRed's
+    over-deleted facts): joins skip valuations that use one
+    (:func:`_apply_rule`'s ``excluded``), a derived one is new again and
+    stays, and the rest leave ``values[p]`` with its fold, so a batch that
+    deletes and inserts copies each value once.  When ``journal`` is
+    given, each round's genuinely new facts are appended to
+    ``journal[p]``.  Returns the number of delta rounds run.
     """
     rounds = 0
     pending: dict[str, set[tuple[Any, ...]]] = {}
+    gone = {p: set(facts) for p, facts in (removed or {}).items() if facts}
     delta = {p: frozenset(v) for p, v in delta.items() if v}
     while delta:
         with span("datalog.round", round=first_round + rounds) as sp:
@@ -209,9 +237,7 @@ def seminaive_closure(
             for rule, pos in applications:
                 for i, atom in enumerate(rule.body):
                     if i != pos and pending.get(atom.predicate):
-                        values[atom.predicate] = values[atom.predicate] | pending.pop(
-                            atom.predicate
-                        )
+                        _fold(values, atom.predicate, pending, gone)
             derived: dict[str, set[tuple[Any, ...]]] = {}
             for rule, pos in applications:
                 derived.setdefault(rule.head.predicate, set()).update(
@@ -222,7 +248,7 @@ def seminaive_closure(
                         delta=delta,
                         strategy=strategy,
                         cache=cache,
-                        static=static,
+                        excluded=gone,
                     )
                 )
             delta = {}
@@ -231,16 +257,37 @@ def seminaive_closure(
                 new = facts - values[p] - known
                 if new:
                     known |= new
-                    delta[p] = frozenset(new)
                     if journal is not None:
-                        journal.setdefault(p, []).append(delta[p])
+                        journal.setdefault(p, []).append(frozenset(new))
+                revived = facts & gone[p] if p in gone else None
+                if revived:
+                    gone[p] -= revived
+                    new |= revived
+                if new:
+                    delta[p] = frozenset(new)
             if sp:
                 sp.note(rows=sum(len(d) for d in delta.values()))
         rounds += 1
-    for p, facts in pending.items():
-        if facts:
-            values[p] = values[p] | facts
+    for p in set(pending) | set(gone):
+        _fold(values, p, pending, gone)
     return rounds
+
+
+def _fold(
+    values: Facts, predicate: str, pending: dict[str, set], gone: dict[str, set]
+) -> None:
+    """Fold ``predicate``'s pending facts into its value and its removed
+    facts out of it, in one copy of the value (none when both are empty).
+    The two sets are disjoint, the first from the value and the second
+    within it, so the new value is their symmetric difference with it."""
+    added = pending.pop(predicate, None)
+    dropped = gone.pop(predicate, None)
+    if added and dropped:
+        values[predicate] = frozenset(added | dropped).symmetric_difference(values[predicate])
+    elif added:
+        values[predicate] = values[predicate] | added
+    elif dropped:
+        values[predicate] = values[predicate] - dropped
 
 
 def evaluate_naive(
@@ -253,7 +300,6 @@ def evaluate_naive(
         values = _edb_facts(program, database)
         for idb in program.idb_predicates():
             values[idb] = frozenset()
-        static = frozenset(program.edb_predicates())
         cache: _AtomCache = {}
         changed = True
         rounds = 0
@@ -261,9 +307,7 @@ def evaluate_naive(
             changed = False
             with span("datalog.round", round=rounds):
                 for rule in program.rules:
-                    new = _apply_rule(
-                        rule, values, strategy=strategy, cache=cache, static=static
-                    )
+                    new = _apply_rule(rule, values, strategy=strategy, cache=cache)
                     merged = values[rule.head.predicate] | new
                     if merged != values[rule.head.predicate]:
                         values[rule.head.predicate] = frozenset(merged)
@@ -288,7 +332,6 @@ def evaluate_seminaive(
         idbs = program.idb_predicates()
         for idb in idbs:
             values[idb] = frozenset()
-        static = frozenset(program.edb_predicates())
         cache: _AtomCache = {}
 
         # Round 0: rules evaluated on EDBs alone (IDB atoms are empty, so only
@@ -296,9 +339,7 @@ def evaluate_seminaive(
         delta: Facts = {idb: frozenset() for idb in idbs}
         with span("datalog.round", round=0) as sp:
             for rule in program.rules:
-                new = _apply_rule(
-                    rule, values, strategy=strategy, cache=cache, static=static
-                )
+                new = _apply_rule(rule, values, strategy=strategy, cache=cache)
                 delta[rule.head.predicate] = delta[rule.head.predicate] | frozenset(new)
             for idb in idbs:
                 values[idb] = delta[idb]
@@ -311,7 +352,6 @@ def evaluate_seminaive(
             delta,
             strategy=strategy,
             cache=cache,
-            static=static,
             first_round=1,
         )
         result = {p: values[p] for p in idbs}

@@ -17,9 +17,11 @@ per update is the dominant cost.  Three classical algorithms cooperate:
   deleted facts through the rules against the pre-update state (anything
   with a derivation using a deleted fact is provisionally removed), then a
   rederivation pass re-proves the over-deleted facts that still have
-  support in the surviving state, and the insertion closure cascades the
-  rescues.  Facts whose only remaining "support" is a derivation cycle
-  through other deleted facts correctly stay dead.
+  support in the surviving state, and the batch's one insertion closure
+  cascades the rescues along with the inserted facts.  Facts whose only
+  remaining "support" is a derivation cycle through other deleted facts
+  correctly stay dead.  Over-deleted facts leave their value at that
+  closure's fold, so a batch copies each changed IDB value once.
 * **Deletions** under ``deletion="counting"`` maintain per-fact derivation
   counts for non-recursive programs: each update batch is telescoped into
   signed per-position delta joins, counts are adjusted, and a fact dies
@@ -35,7 +37,9 @@ evaluators do.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from repro.cq.evaluate import atom_shape, share_row_memo, translate_atom
@@ -108,34 +112,31 @@ class UpdateReport:
         )
 
 
-def _cow_apply(
+def _fold_rows(
     index: dict[tuple, list],
     positions: tuple[int, ...],
     added: set,
     removed: set,
-) -> dict[tuple, list]:
-    """A copy of ``index`` with ``removed`` rows dropped and ``added`` rows
-    appended — the batch's rows are grouped by key and each touched bucket
-    is rebuilt once, untouched buckets are shared with the original, and
-    the original is never mutated (relations handed out against the old
-    state keep seeing the old index)."""
+) -> None:
+    """Drop ``removed`` rows from ``index`` and append ``added`` ones, in
+    place: the batch's rows are grouped by key and each touched bucket is
+    replaced by a new list once — a bucket list is never mutated, so a
+    copy of the dict that shares it is unaffected."""
     gone: dict[tuple, set] = {}
     for row in removed:
         gone.setdefault(tuple([row[i] for i in positions]), set()).add(row)
     new: dict[tuple, list] = {}
     for row in added:
         new.setdefault(tuple([row[i] for i in positions]), []).append(row)
-    out = dict(index)
     for key in gone.keys() | new.keys():
-        bucket = out.get(key, ())
+        bucket = index.get(key, ())
         dropped = gone.get(key)
         rows = [t for t in bucket if t not in dropped] if dropped else list(bucket)
         rows += new.get(key, ())
         if rows:
-            out[key] = rows
+            index[key] = rows
         else:
-            out.pop(key, None)
-    return out
+            index.pop(key, None)
 
 
 class _PredicateIndexPool:
@@ -147,9 +148,16 @@ class _PredicateIndexPool:
     frozenset, so without the pool each batch pays a full O(rows) rebuild
     of every join-key index on every large relation it touches.  The pool
     keeps the index dicts alive between batches and folds each phase's net
-    delta in with :func:`_cow_apply`, so a small update costs O(delta)
-    bucket edits plus one pointer-copy of the dict — never a rescan of the
-    rows.  The delta is read off the batch's journal
+    delta in with :func:`_fold_rows`, so a small update costs O(delta)
+    bucket edits plus, once per batch, one pointer-copy of each dict —
+    never a rescan of the rows.  The first sync of a batch copies an index
+    (``copied`` names the copies); later syncs edit that batch-private
+    copy in place.  The index the batch started from is never mutated:
+    the structure the batch superseded still reads it.  A snapshot
+    relation published mid-batch sees its index move at the next sync;
+    the atom cache keys values by identity, and no caller keeps a
+    mid-batch value, so such a relation is never handed out again.  The
+    delta is read off the batch's journal
     (:meth:`IncrementalEvaluation.apply`): the rows touched since the
     pool's last sync (``synced`` counts the journal entries already
     folded), each kept when it entered or left the value — the snapshots
@@ -166,7 +174,7 @@ class _PredicateIndexPool:
     transitive closure), never a full-row one.
     """
 
-    __slots__ = ("rows", "arity", "indexes", "counters", "synced")
+    __slots__ = ("rows", "arity", "indexes", "counters", "synced", "copied")
 
     def __init__(self, rows: frozenset, arity: int) -> None:
         self.rows = rows
@@ -174,13 +182,15 @@ class _PredicateIndexPool:
         self.indexes: dict[tuple[int, ...], dict[tuple, list]] = {}
         self.counters: list[dict[Any, int]] | None = None
         self.synced = 0
+        self.copied: set[tuple[int, ...]] = set()
+
+    def begin_batch(self) -> None:
+        """Start a new batch: no journal entry folded in, no index copied."""
+        self.synced = 0
+        self.copied.clear()
 
     def _count_from_scratch(self) -> list[dict[Any, int]]:
-        counters: list[dict[Any, int]] = [{} for _ in range(self.arity)]
-        for row in self.rows:
-            for i, v in enumerate(row):
-                counters[i][v] = counters[i].get(v, 0) + 1
-        return counters
+        return [Counter(map(itemgetter(i), self.rows)) for i in range(self.arity)]
 
     def adopt(self, memo: RowMemo) -> None:
         """Take ownership of the indexes joins built on a relation over
@@ -207,10 +217,11 @@ class _PredicateIndexPool:
             return
         added, removed = _net(touched, self.rows, rows)
         if added or removed:
-            self.indexes = {
-                positions: _cow_apply(index, positions, added, removed)
-                for positions, index in self.indexes.items()
-            }
+            for positions, index in list(self.indexes.items()):
+                if positions not in self.copied:
+                    index = self.indexes[positions] = dict(index)
+                    self.copied.add(positions)
+                _fold_rows(index, positions, added, removed)
             if self.counters is not None:
                 for row in removed:
                     for i, v in enumerate(row):
@@ -245,13 +256,17 @@ def _net(
 class _BoundedAtomCache:
     """The persistent atom-relation cache of one incremental evaluation.
 
-    Same keying as the per-evaluation cache in :mod:`repro.datalog.engine`
-    (``(atom or shape, predicate value)``), but bounded to a few values
-    per atom or shape so a long-lived service does not accumulate one
+    Same keys as the per-evaluation cache in :mod:`repro.datalog.engine`
+    (``(atom or shape, predicate value)``), but a value matches by
+    identity, not equality, and the cache is bounded to a few values per
+    atom or shape, so a long-lived service does not accumulate one
     relation per atom per update batch: an unchanged predicate keeps
     returning the same cached
     :class:`~repro.relational.relation.Relation` (with its warmed indexes)
-    forever, while superseded values age out FIFO.
+    forever, while superseded values age out FIFO.  Identity keeps a
+    snapshot relation whose pooled index has moved on since (see
+    :class:`_PredicateIndexPool`) from answering for an equal value that
+    comes back later, and spares hashing each new value.
     """
 
     PER_ATOM = 4
@@ -259,21 +274,24 @@ class _BoundedAtomCache:
     __slots__ = ("_store",)
 
     def __init__(self) -> None:
-        self._store: dict[Any, dict[frozenset, Any]] = {}
+        # atom or shape → id(value) → (value, relation); holding the value
+        # keeps its id from being reused while the entry lives.
+        self._store: dict[Any, dict[int, tuple[frozenset, Any]]] = {}
 
     def get(self, key: tuple[Any, frozenset]) -> Any:
         atom, value = key
         per_atom = self._store.get(atom)
         if per_atom is None:
             return None
-        return per_atom.get(value)
+        entry = per_atom.get(id(value))
+        return None if entry is None else entry[1]
 
     def __setitem__(self, key: tuple[Any, frozenset], relation: Any) -> None:
         atom, value = key
         per_atom = self._store.setdefault(atom, {})
         if len(per_atom) >= self.PER_ATOM:
             per_atom.pop(next(iter(per_atom)))
-        per_atom[value] = relation
+        per_atom[id(value)] = (value, relation)
 
 
 class IncrementalEvaluation:
@@ -326,7 +344,6 @@ class IncrementalEvaluation:
         self._strategy = strategy
         self._deletion = deletion
         self._idbs = program.idb_predicates()
-        self._static = frozenset(program.edb_predicates())
         self._cache = _BoundedAtomCache()
         self._structure: Structure | None = None
         # Occurrences of each value across all rows — the structure's
@@ -355,13 +372,7 @@ class IncrementalEvaluation:
             delta: Facts = {idb: frozenset() for idb in self._idbs}
             with span("datalog.round", round=0):
                 for rule in program.rules:
-                    new = _apply_rule(
-                        rule,
-                        values,
-                        strategy=strategy,
-                        cache=self._cache,
-                        static=self._static,
-                    )
+                    new = _apply_rule(rule, values, strategy=strategy, cache=self._cache)
                     delta[rule.head.predicate] = delta[rule.head.predicate] | frozenset(new)
                 for idb in self._idbs:
                     values[idb] = delta[idb]
@@ -371,7 +382,6 @@ class IncrementalEvaluation:
                 delta,
                 strategy=strategy,
                 cache=self._cache,
-                static=self._static,
             )
             self._values: Facts = values
             self._sync_pools()
@@ -467,11 +477,12 @@ class IncrementalEvaluation:
         with the net per-predicate changes.
 
         The batch costs O(|Δ| · fan-out) plus one copy of each changed
-        predicate's row set per phase.  Every phase records the rows it
-        adds to or removes from a value in the batch's *journal*; the index
-        pools fold in the journal's rows since their last sync, and the
-        report keeps the journal's rows that entered or left a value — no
-        whole value is diffed against another.
+        IDB predicate's row set (and one per phase of each changed EDB
+        predicate's).  Every phase records the rows it adds to or removes
+        from a value in the batch's *journal*; the index pools fold in the
+        journal's rows since their last sync, and the report keeps the
+        journal's rows that entered or left a value — no whole value is
+        diffed against another.
         """
         ins = self._normalize(inserts)
         dels = self._normalize(deletes)
@@ -481,21 +492,18 @@ class IncrementalEvaluation:
             old = dict(self._values)
             self._journal = {}
             for pool in self._pools.values():
-                pool.synced = 0
+                pool.begin_batch()
             if self._deletion == "counting":
                 self._seed_pool_relations()
                 rounds = self._apply_counting(ins, dels)
                 self._sync_pools()
             else:
-                rounds = 0
+                rounds, delta, removed = 0, {}, {}
                 if dels:
                     self._seed_pool_relations()
-                    rounds += self._apply_dred(dels)
-                    self._sync_pools()
-                if ins:
-                    self._seed_pool_relations()
-                    rounds += self._apply_inserts(ins)
-                    self._sync_pools()
+                    rounds, delta, removed = self._apply_dred(dels)
+                rounds += self._apply_inserts(ins, delta, removed, max(rounds, 1))
+                self._sync_pools()
             report = self._report(old, rounds)
             if report.dirty:
                 self._structure = None
@@ -558,8 +566,11 @@ class IncrementalEvaluation:
         relation (still resident in the atom cache) are adopted — by the
         last phase's joins, or by reads of the structure
         :meth:`as_structure` handed out, which share its memo — so the
-        pool learns new join keys from whatever the planner actually
-        probed: no rule analysis, no speculative builds.
+        pool learns new join keys from whatever the joins actually
+        probed: no rule analysis, no speculative builds.  A value the
+        phase did not move is skipped, its journaled rows (DRed's
+        over-deleted facts, still in the value) kept for the sync after
+        its fold.
         """
         for predicate, atom in self._identity_atoms.items():
             rows = self._values.get(predicate)
@@ -568,6 +579,8 @@ class IncrementalEvaluation:
             pool = self._pools.get(predicate)
             if pool is None:
                 self._pools[predicate] = _PredicateIndexPool(rows, atom.arity)
+                continue
+            if rows is pool.rows:
                 continue
             relation = self._cache.get((atom_shape(atom)[0], pool.rows))
             if relation is not None:
@@ -615,9 +628,13 @@ class IncrementalEvaluation:
                 target_del[p] = frozenset(removed)
         return UpdateReport(edb_added, edb_removed, idb_added, idb_removed, rounds)
 
-    def _apply_inserts(self, inserts: Facts) -> int:
-        """Semi-naive insertion closure seeded with the new EDB facts."""
-        delta: Facts = {}
+    def _apply_inserts(
+        self, inserts: Facts, delta: Facts, removed: dict[str, set], first_round: int
+    ) -> int:
+        """Add the new EDB facts and run one semi-naive closure seeded with
+        them and with ``delta`` (DRed's rederived facts), the facts in
+        ``removed`` leaving their values at the closure's fold."""
+        delta = dict(delta)
         for predicate, rows in inserts.items():
             new = rows - self._values[predicate]
             if new:
@@ -625,10 +642,13 @@ class IncrementalEvaluation:
                 delta[predicate] = new
                 self._record(predicate, new)
         if not delta:
+            for predicate, dead in removed.items():
+                if dead:
+                    self._values[predicate] = self._values[predicate] - dead
             return 0
         # Fold the new EDB facts into the pools (O(delta)) and seed the
-        # post-insert snapshots so every closure round probes maintained
-        # indexes instead of rebuilding them.
+        # snapshots so every closure round probes maintained indexes
+        # instead of rebuilding them.
         self._sync_pools()
         self._seed_pool_relations()
         return seminaive_closure(
@@ -637,16 +657,20 @@ class IncrementalEvaluation:
             delta,
             strategy=self._strategy,
             cache=self._cache,
-            static=self._static,
+            first_round=first_round,
             journal=self._journal,
+            removed=removed,
         )
 
-    def _apply_dred(self, deletes: Facts) -> int:
-        """Delete-and-rederive: over-delete against the pre-update state,
-        then re-prove what still has support over the current values and
-        cascade the rescues.  Each value changes once per phase: the
-        deleted EDB rows, then all over-deleted facts at the end of phase 1,
-        then the rescued ones, then the cascade's (once, at its end)."""
+    def _apply_dred(self, deletes: Facts) -> tuple[int, Facts, dict[str, set]]:
+        """Delete-and-rederive, up to its cascade: delete the EDB facts,
+        over-delete against the pre-update state, then re-prove what still
+        has support over the current values.  Returns the rounds run, the
+        rederived facts (the cascade's seeds, which
+        :meth:`_apply_inserts`'s closure runs with the inserted facts), and
+        the over-deleted facts that were not rederived.  Those stay in
+        their values, flagged as removed, until that closure's fold: the
+        batch copies each IDB value once, not once per phase."""
         values = self._values
         old = dict(values)
         delta_minus: Facts = {}
@@ -657,14 +681,13 @@ class IncrementalEvaluation:
                 delta_minus[predicate] = gone
                 self._record(predicate, gone)
         if not delta_minus:
-            return 0
+            return 0, {}, {}
 
         # Phase 1 — over-deletion.  Each rule fires with one body atom
         # reading the deletions and the rest reading the *pre-update*
         # values: every fact with some derivation through a deleted fact is
         # provisionally removed.  The loop is the semi-naive closure run on
-        # the deletion deltas; its facts accumulate in ``over`` and leave
-        # the values once, after the last round.
+        # the deletion deltas; its facts accumulate in ``over``.
         over: dict[str, set] = {}
         rounds = 0
         while delta_minus:
@@ -681,7 +704,6 @@ class IncrementalEvaluation:
                                     delta=delta_minus,
                                     strategy=self._strategy,
                                     cache=self._cache,
-                                    static=self._static,
                                 )
                             )
                 delta_minus = {}
@@ -694,16 +716,16 @@ class IncrementalEvaluation:
             rounds += 1
         for predicate, dead in over.items():
             if dead:
-                values[predicate] = values[predicate] - dead
-                self._record(predicate, dead)
+                self._record(predicate, frozenset(dead))
 
         # Phase 2 — rederivation.  An over-deleted fact survives if some
-        # rule still derives it from the *current* (post-over-deletion)
-        # values: per rule, the seeded derivation π_head(head restriction
-        # ⋈ body) over those values, the head restriction being the rule
-        # head over the over-deleted facts.  Syncing the pools first moves
-        # their indexes to the current values in O(delta), so the body
-        # joins probe maintained indexes instead of rebuilding them.
+        # rule still derives it from the *current* values: per rule, the
+        # seeded derivation π_head(head restriction ⋈ body), the head
+        # restriction being the rule head over the over-deleted facts,
+        # with every valuation through an over-deleted fact dropped.
+        # Syncing the pools first moves the EDB indexes to the current
+        # values in O(delta); the IDB values still hold the over-deleted
+        # facts, so their indexes stay as they were.
         self._sync_pools()
         self._seed_pool_relations()
         delta: Facts = {}
@@ -716,32 +738,17 @@ class IncrementalEvaluation:
                 values,
                 strategy=self._strategy,
                 cache=self._cache,
-                static=self._static,
                 seed=_atom_to_relation(rule.head, frozenset(candidates), None),
+                excluded=over,
             )
             if rescued:
                 head = rule.head.predicate
                 delta[head] = delta.get(head, frozenset()) | rescued
-        if delta:
-            for predicate, rescued in delta.items():
-                values[predicate] = values[predicate] | rescued
-                self._record(predicate, rescued)
-            self._sync_pools()
-            self._seed_pool_relations()
-            # Phase 3 — cascade: a rescued fact can re-prove further
-            # over-deleted facts downstream; the ordinary insertion
-            # closure finishes the job.
-            rounds += seminaive_closure(
-                self._program,
-                values,
-                delta,
-                strategy=self._strategy,
-                cache=self._cache,
-                static=self._static,
-                first_round=rounds,
-                journal=self._journal,
-            )
-        return rounds
+        # Phase 3 — the cascade: a rescued fact can re-prove further
+        # over-deleted facts downstream; the insertion closure does it.
+        for predicate, rescued in delta.items():
+            over[predicate] -= rescued
+        return rounds, delta, over
 
     # -- counting maintenance -------------------------------------------------
 

@@ -32,13 +32,12 @@ is the nested-loop implementation, kept as a differential-testing oracle.
 from __future__ import annotations
 
 from itertools import chain, compress
-from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, SolverError, VocabularyError
 from repro.relational.planner import EXECUTIONS, choose_build_side, parse_strategy, plan_join
-from repro.relational.relation import Relation, _check_scheme
+from repro.relational.relation import Relation, _check_scheme, _take
 from repro.relational.stats import current_stats
 from repro.telemetry.spans import span
 
@@ -74,20 +73,6 @@ def _resolve_execution(execution: str | None) -> str:
             f"unknown join execution {execution!r}; expected one of {EXECUTIONS}"
         )
     return mode
-
-
-def _take(rows: Iterable[tuple], positions: Sequence[int]) -> Iterable[tuple]:
-    """The columns at ``positions`` of every row, as tuples.
-
-    One :func:`operator.itemgetter` mapped over the rows, so no Python
-    frame runs per row (a single column is re-wrapped into 1-tuples by
-    ``zip``).
-    """
-    if len(positions) > 1:
-        return map(itemgetter(*positions), rows)
-    if positions:
-        return zip(map(itemgetter(positions[0]), rows))
-    return (() for _ in rows)
 
 
 def project(relation: Relation, attributes: Sequence[str]) -> Relation:
@@ -216,14 +201,15 @@ def warm_index(relation: Relation, attributes: Iterable[str]) -> bool:
     key for ``attributes``, charging the build to the active EvalStats.
 
     The canonical key is the sorted attribute tuple — exactly what
-    :func:`natural_join` and :func:`semijoin` probe on — so a caller that
-    knows a relation will be probed repeatedly on the same key (the Datalog
-    engine's static EDB relations across semi-naive rounds, a Yannakakis
-    reducer) can pay the build once, up front;
-    :func:`~repro.relational.planner.choose_build_side` then routes every
-    later join through the warmed side regardless of cardinalities.
-    Returns ``True`` iff an index was actually built (``False`` when the
-    key was already memoized).
+    :func:`natural_join`, :func:`semijoin` and a seeded :func:`join_all`
+    probe on — so a caller that knows a relation will be probed repeatedly
+    on the same key (a Yannakakis reducer) can pay the build once, up
+    front; :func:`~repro.relational.planner.choose_build_side` then routes
+    every later join through the warmed side regardless of cardinalities.
+    The seeded join builds every index it probes through here, so the
+    persistent relations of a fixpoint (its EDB snapshots across rounds)
+    pay each build once.  Returns ``True`` iff an index was actually built
+    (``False`` when the key was already memoized).
     """
     key = tuple(sorted(attributes))
     if relation.has_index(key):
@@ -417,7 +403,7 @@ def join_all(
     *,
     execution: str | None = None,
     attributes: Sequence[str] | None = None,
-    lasting: Collection[int] = (),
+    seed: Relation | None = None,
 ) -> Relation:
     """Natural join of a collection of relations, or with ``attributes``
     its projection ``π_attributes(⋈ relations)``.
@@ -459,67 +445,56 @@ def join_all(
     intermediate holds a variable that is already dead, the bound behind
     the tutorial's ∃FO^k reading of bounded-variable queries (Section 6).
     Every other execution joins as without ``attributes`` and projects
-    once at the end.  Each step, the seed included, is recorded as one
-    ``natural_join`` (span and :class:`~repro.relational.stats.EvalStats`
-    entry), with the projected sizes as its intermediates.
+    once at the end.  Each step, the first operand included, is recorded
+    as one ``natural_join`` (span and
+    :class:`~repro.relational.stats.EvalStats` entry), with the projected
+    sizes as its intermediates.
 
-    ``lasting`` gives the positions, in ``relations``, of the operands that
-    outlive this join (a fixpoint's snapshots across rounds, a maintained
-    predicate across reads).  Under the ``"indexed"`` and ``"columnar"``
-    executions each one's index on its join key — its attributes shared
-    with everything the plan folds before it — is built up front
-    (:func:`_warm_lasting`), so :func:`~repro.relational.planner.choose_build_side`
-    picks it as build side even against a smaller fresh operand, and the
-    build amortizes across every later join instead of being repaid per
-    join.  The warming follows the one plan the fold runs.
+    ``seed`` is a small, fresh operand that drives the join — a semi-naive
+    delta, DRed's over-deleted head facts, the changed rows a cached
+    answer is refreshed from — while ``relations`` outlive it.  The result
+    is ``π_attributes(seed ⋈ relations)``; without ``attributes``, its
+    columns are every attribute in order of first appearance, the seed's
+    first.  Under the ``"indexed"`` execution the seed fixes the driving
+    side, so no order is planned (:func:`_join_from_seed`): the join
+    starts from the seed's rows and each step probes the memoized index of
+    the operand it binds most, building a missing one through
+    :func:`warm_index`.  Every other execution folds ``[seed, *relations]``
+    in the planner's order.
     """
     order, spec_execution = parse_strategy(
         strategy, default_order=DEFAULT_STRATEGY, default_execution=DEFAULT_EXECUTION
     )
     execution = execution or spec_execution
     operands = list(relations)
+    if seed is not None:
+        if attributes is None:
+            attributes = tuple(
+                dict.fromkeys(a for r in (seed, *operands) for a in r.attributes)
+            )
+        if execution == "indexed":
+            with span(
+                "join_all", strategy="seeded", execution=execution, relations=len(operands) + 1
+            ) as sp:
+                result = _join_from_seed(seed, operands, tuple(attributes))
+                if sp:
+                    sp.note(rows=len(result))
+                return result
+        operands.insert(0, seed)
     plan = plan_join(operands, order).order
     pending = [operands[i] for i in plan]
     with span(
         "join_all", strategy=order, execution=execution, relations=len(pending)
     ) as sp:
-        fused = attributes is not None and execution == "indexed"
-        if lasting and len(pending) > 1 and execution in ("indexed", "columnar"):
-            keep = set(lasting)
-            _warm_lasting(pending, [i in keep for i in plan], execution, fused)
         if attributes is None:
             result = _join_all(pending, execution)
-        elif fused:
+        elif execution == "indexed":
             result = _join_project_all(pending, tuple(attributes))
         else:
             result = project(_join_all(pending, execution), attributes)
         if sp:
             sp.note(rows=len(result))
         return result
-
-
-def _warm_lasting(
-    pending: Sequence[Relation], lasting: Sequence[bool], execution: str, fused: bool
-) -> None:
-    """Build the structures the fold over ``pending`` (in plan order) will
-    probe on the operands flagged in ``lasting``: the tuple-keyed hash
-    index under ``"indexed"`` (:func:`warm_index`), the column store plus
-    the radix-packed code index under ``"columnar"``
-    (:func:`~repro.relational.columnar.warm_columns`), each build charged
-    to EvalStats by its warmer.  The fused fold (``fused``) tests an
-    operand whose key is its whole scheme by membership in its rows, so no
-    index is built for it."""
-    seen: set[str] = set()
-    for rel, keep in zip(pending, lasting):
-        key = seen.intersection(rel.attributes)
-        if key and keep and not (fused and len(key) == rel.arity):
-            if execution == "columnar":
-                from repro.relational.columnar import warm_columns
-
-                warm_columns(rel, key)
-            else:
-                warm_index(rel, key)
-        seen.update(rel.attributes)
 
 
 def _join_all(pending: Sequence[Relation], execution: str) -> Relation:
@@ -644,17 +619,8 @@ def _join_project(
     the rows and later joins and queries over them probe it for free.  A
     build side whose whole scheme is the key — an atom whose variables are
     all bound by then — needs no table: its row set answers each probe by
-    membership, and counts as indexed when the build side is chosen.
-
-    A probe row whose key hits contributes its surviving columns (the key
-    included), a build row its surviving private ones:
-
-    * no build-private column survives — a semijoin: each hitting probe
-      row is projected, and no bucket is walked;
-    * no probe-private column survives — the projected rows of each
-      distinct hit bucket;
-    * otherwise each hitting probe row is paired with its bucket's
-      distinct parts, projected once per bucket.
+    membership, and counts as indexed when the build side is chosen.  The
+    other side's rows probe it (:func:`_probe_step`).
     """
     stats = current_stats()
     start = perf_counter() if stats is not None else 0.0
@@ -667,70 +633,169 @@ def _join_project(
     else:
         built = not build.has_index(key)
         index = build.index_on(key)
-    probe_rows = probe.tuples
-    key_positions = [probe.index_of(a) for a in key]
+    scheme, rows = _probe_step(
+        probe.attributes, probe.tuples, build, key, index, live, out, built, stats, start
+    )
+    return Relation.from_trusted_rows(scheme, rows)
+
+
+def _probe_step(
+    scheme: tuple[str, ...],
+    rows: Collection[tuple[Any, ...]],
+    build: Relation,
+    key: tuple[str, ...],
+    index: Mapping[tuple, list] | frozenset,
+    live: Collection[str],
+    out: tuple[str, ...] | None,
+    built: bool,
+    stats: Any,
+    start: float,
+) -> tuple[tuple[str, ...], frozenset | set]:
+    """Probe ``build`` with the distinct ``rows`` over ``scheme`` and keep
+    the columns in ``live`` — exactly ``out``, in order, when given.
+    Returns the result's scheme and its distinct rows, and records the
+    step as one ``natural_join`` (``built``: the step built ``index``).
+
+    ``index`` is ``build``'s hash index on ``key``, a sub-scheme of both
+    sides, or ``build``'s row set when ``key`` is its whole scheme (in its
+    order), which answers each probe by membership.  A probe row whose key
+    hits contributes its surviving columns (the key included), a build row
+    its surviving private ones:
+
+    * no build-private column survives — a semijoin: each hitting probe
+      row is projected, and no bucket is walked;
+    * no probe-private column survives — the projected rows of each
+      distinct hit bucket;
+    * otherwise each hitting probe row is paired with its bucket's
+      distinct parts, projected once per bucket.
+    """
+    key_positions = [scheme.index(a) for a in key]
     # Every pass streams its key tuples: each dies as soon as it is probed,
     # so no pass feeds a garbage-collector generation.
-    keys = _take(probe_rows, key_positions)
-
+    keys = _take(rows, key_positions)
     if out is None:
-        head = tuple(a for a in probe.attributes if a in live)
-        tail = tuple(a for a in build.attributes if a in live and a not in shared)
+        head = tuple([a for a in scheme if a in live])
+        tail = tuple([a for a in build.attributes if a in live and a not in scheme])
     else:
-        head = tuple(a for a in out if probe.has_attribute(a))
-        tail = tuple(a for a in out if not probe.has_attribute(a))
+        head = tuple([a for a in out if a in scheme])
+        tail = tuple([a for a in out if a not in scheme])
     if not tail:
-        scheme = head
-        rows: Iterable[tuple[Any, ...]] = compress(probe_rows, map(index.__contains__, keys))
-        if scheme != probe.attributes:
-            rows = _take(rows, [probe.index_of(a) for a in scheme])
-    elif all(a in shared for a in head):
-        scheme = out or tuple(a for a in build.attributes if a in live)
+        result_scheme = head
+        kept: Iterable[tuple[Any, ...]] = compress(rows, map(index.__contains__, keys))
+        if head != scheme:
+            kept = _take(kept, [scheme.index(a) for a in head])
+        result: frozenset | set = frozenset(kept)
+    elif all(a in key for a in head):
+        result_scheme = out or tuple(a for a in build.attributes if a in live)
         buckets = chain.from_iterable(map(index.__getitem__, index.keys() & keys))
-        rows = _take(buckets, [build.index_of(a) for a in scheme])
+        result = frozenset(_take(buckets, [build.index_of(a) for a in result_scheme]))
     else:
-        parts = _BucketParts(index, [build.index_of(a) for a in tail])
-        pairs = zip(keys, _take(probe_rows, [probe.index_of(a) for a in head]))
-        scheme = head + tail
-        rows = {h + t for k, h in pairs for t in parts[k]}
-        if out is not None and scheme != out:
-            rows = _take(rows, [scheme.index(a) for a in out])
-            scheme = out
-    result = Relation.from_trusted_rows(scheme, frozenset(rows))
+        parts = build.parts_on(key, tail)
+        pairs = zip(keys, _take(rows, [scheme.index(a) for a in head]))
+        result_scheme = head + tail
+        result = {h + t for k, h in pairs for t in parts[k]}
+        if out is not None and result_scheme != out:
+            result = frozenset(_take(result, [result_scheme.index(a) for a in out]))
+            result_scheme = out
     if stats is not None:
         seconds = perf_counter() - start
-        hits = sum(map(index.__contains__, _take(probe_rows, key_positions)))
+        hits = sum(map(index.__contains__, _take(rows, key_positions)))
         stats.record(
             "natural_join",
-            scanned=len(probe) + (len(build) if built else 0),
-            probes=len(probe),
+            scanned=len(rows) + (len(build) if built else 0),
+            probes=len(rows),
             index_builds=1 if built else 0,
             index_hits=hits,
-            probe_misses=len(probe) - hits,
+            probe_misses=len(rows) - hits,
             emitted=len(result),
             seconds=seconds,
             intermediate=len(result),
         )
-    return result
+    return result_scheme, result
 
 
-class _BucketParts(dict):
-    """``key → distinct projections of the key's bucket`` onto the build
-    columns at ``positions``, computed on first lookup (empty for a key
-    the index lacks), so each bucket is projected once however many probe
-    rows hit it."""
+def _join_from_seed(
+    seed: Relation, relations: Sequence[Relation], attributes: tuple[str, ...]
+) -> Relation:
+    """The seeded join of :func:`join_all` under the ``"indexed"``
+    execution: ``π_attributes(seed ⋈ relations)``, with no planner call
+    and no intermediate :class:`Relation`.
 
-    __slots__ = ("index", "positions")
-
-    def __init__(self, index: Mapping[tuple, list], positions: Sequence[int]):
-        super().__init__()
-        self.index = index
-        self.positions = positions
-
-    def __missing__(self, key: tuple) -> frozenset | set:
-        bucket = self.index.get(key)
-        part = self[key] = frozenset() if bucket is None else set(_take(bucket, self.positions))
-        return part
+    The rows start as the seed's own (shared, unless one of its columns is
+    already dead).  Each step takes the remaining operand whose variables
+    are all bound — a membership test in its rows — or else the one with
+    the most bound variables, ties going to fewer rows, and probes its
+    memoized index on the canonical (sorted) key, built through
+    :func:`warm_index` when missing so the build is charged as an
+    ``index_build`` and memoized with the operand's rows.  Each step keeps
+    only the columns the answer or a later operand mentions, the last one
+    exactly ``attributes``, and is recorded as one ``natural_join``
+    (:func:`_probe_step`); the join stops at the first empty step.  A
+    seed column no operand or answer mentions is projected away first,
+    recorded as one ``project``.
+    """
+    answer = frozenset(attributes)
+    schemes = [r.attributes for r in relations]
+    needed = answer.union(*schemes)
+    joined = needed.union(seed.attributes)
+    if len(answer) != len(attributes) or not answer <= joined:
+        _check_scheme(attributes)
+        missing = next(a for a in attributes if a not in joined)
+        raise VocabularyError(
+            f"attribute {missing!r} not in the joined scheme {tuple(sorted(joined))!r}"
+        )
+    if not relations:
+        return project(seed, attributes)
+    scheme, rows = seed.attributes, seed.tuples
+    if not needed.issuperset(scheme):
+        stats = current_stats()
+        start = perf_counter() if stats is not None else 0.0
+        kept = tuple([a for a in scheme if a in needed])
+        rows = frozenset(_take(rows, [scheme.index(a) for a in kept]))
+        scheme = kept
+        if stats is not None:
+            stats.record(
+                "project",
+                scanned=len(seed),
+                emitted=len(rows),
+                seconds=perf_counter() - start,
+            )
+    pending = list(relations)
+    while rows and pending:
+        bound = set(scheme)
+        best = rank = shared = None
+        for i, rel in enumerate(pending):
+            common = bound.intersection(rel.attributes)
+            candidate = (len(common) < rel.arity, -len(common), len(rel))
+            if rank is None or candidate < rank:
+                best, rank, shared = i, candidate, common
+        rel = pending.pop(best)
+        live = answer.union(*[r.attributes for r in pending]) if pending else answer
+        with span("natural_join", execution="indexed") as sp:
+            if rank[0]:
+                key = tuple(sorted(shared))
+                warm_index(rel, key)
+                index: Mapping[tuple, list] | frozenset = rel.index_on(key)
+            else:
+                key, index = rel.attributes, rel.tuples
+            stats = current_stats()
+            scheme, rows = _probe_step(
+                scheme,
+                rows,
+                rel,
+                key,
+                index,
+                live,
+                None if pending else attributes,
+                False,
+                stats,
+                perf_counter() if stats is not None else 0.0,
+            )
+            if sp:
+                sp.note(rows=len(rows))
+    if not rows:
+        return Relation.empty(attributes)
+    return Relation.from_trusted_rows(attributes, rows)
 
 
 def _join_all_interned(pending: Sequence[Relation]) -> Relation:

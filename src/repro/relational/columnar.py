@@ -221,9 +221,9 @@ def warm_columns(relation: Relation, attributes: Iterable[str] | None = None) ->
     charging the builds to the active EvalStats.
 
     The columnar counterpart of
-    :func:`repro.relational.algebra.warm_index`: the Datalog engine warms
-    its static EDB relations so every semi-naive round after the first
-    probes pre-paid structures.  Returns ``True`` iff anything was built.
+    :func:`repro.relational.algebra.warm_index`, for a caller that knows a
+    relation will be probed repeatedly on one key.  Returns ``True`` iff
+    anything was built.
     """
     built = relation._column_store is None
     column_store(relation)

@@ -21,7 +21,8 @@ index built through one variable naming is probed through every other.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ArityError, SchemaError, VocabularyError
 
@@ -110,18 +111,53 @@ class RowMemo:
     shares this memo, so whatever one naming builds, every other naming
     finds.  ``indexes`` and ``code_indexes`` map a tuple of key positions
     to the :meth:`Relation.index_on` / :meth:`Relation.code_index_on`
-    structure over those columns; ``distinct`` holds the per-column
-    distinct-value counts behind :func:`repro.relational.planner.profile`
-    (``None`` until first requested).  Published indexes and their buckets
-    are never mutated; the memo only ever gains entries.
+    structure over those columns; ``parts`` maps a pair of key and column
+    positions to the :meth:`Relation.parts_on` projections of that index's
+    buckets; ``distinct`` holds the per-column distinct-value counts behind
+    :func:`repro.relational.planner.profile` (``None`` until first
+    requested).  Published indexes and their buckets are never mutated;
+    the memo only ever gains entries.
     """
 
-    __slots__ = ("indexes", "code_indexes", "distinct")
+    __slots__ = ("indexes", "code_indexes", "parts", "distinct")
 
     def __init__(self) -> None:
         self.indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]] = {}
         self.code_indexes: dict[tuple[int, ...], CodeIndex] = {}
+        self.parts: dict[tuple[tuple[int, ...], tuple[int, ...]], _BucketParts] = {}
         self.distinct: tuple[float, ...] | None = None
+
+
+class _BucketParts(dict):
+    """``key → distinct projections of the key's bucket`` onto the columns
+    at ``positions``, computed on first lookup (empty for a key the index
+    lacks), so each bucket is projected once however many probes hit it."""
+
+    __slots__ = ("index", "positions")
+
+    def __init__(self, index: Mapping[tuple, list], positions: Sequence[int]):
+        super().__init__()
+        self.index = index
+        self.positions = positions
+
+    def __missing__(self, key: tuple) -> frozenset | set:
+        bucket = self.index.get(key)
+        part = self[key] = frozenset() if bucket is None else set(_take(bucket, self.positions))
+        return part
+
+
+def _take(rows: Iterable[tuple], positions: Sequence[int]) -> Iterable[tuple]:
+    """The columns at ``positions`` of every row, as tuples.
+
+    One :func:`operator.itemgetter` mapped over the rows, so no Python
+    frame runs per row (a single column is re-wrapped into 1-tuples by
+    ``zip``).
+    """
+    if len(positions) > 1:
+        return map(itemgetter(*positions), rows)
+    if positions:
+        return zip(map(itemgetter(positions[0]), rows))
+    return (() for _ in rows)
 
 
 def _check_scheme(attributes: Sequence[str]) -> tuple[str, ...]:
@@ -402,10 +438,36 @@ class Relation:
         if cached is not None:
             return cached
         index: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
-        for t in self._tuples:
-            index.setdefault(tuple(t[i] for i in positions), []).append(t)
+        rows = self._tuples
+        for key, t in zip(_take(rows, positions), rows):
+            index.setdefault(key, []).append(t)
         indexes[positions] = index
         return index
+
+    def parts_on(
+        self, key: Sequence[str], columns: Sequence[str]
+    ) -> Mapping[tuple[Any, ...], Collection[tuple[Any, ...]]]:
+        """``key-tuple → the distinct projections onto ``columns`` of the
+        rows carrying it`` — empty for a key no row carries — over
+        :meth:`index_on`'s index on ``key`` (built if missing).
+
+        Each key's entry is computed on its first lookup and memoized with
+        the index, by key and column positions, so a join step that keeps
+        only some of a probed relation's columns projects each bucket once
+        per row set, not once per join.  Callers must not mutate the
+        returned mapping or its entries.
+
+        >>> r = Relation(("x", "y", "z"), [(1, 2, 0), (1, 3, 0), (1, 3, 1)])
+        >>> sorted(r.parts_on(("x",), ("y",))[(1,)]), r.parts_on(("x",), ("y",))[(9,)]
+        ([(2,), (3,)], frozenset())
+        """
+        columns = tuple(columns)
+        spot = (self._positions(tuple(key)), self._positions(columns))
+        parts = self.row_memo.parts.get(spot)
+        if parts is None:
+            parts = _BucketParts(self.index_on(key), spot[1])
+            self.row_memo.parts[spot] = parts
+        return parts
 
     def has_index(self, attributes: Sequence[str]) -> bool:
         """Whether :meth:`index_on` has already been built (and memoized)

@@ -6,7 +6,9 @@ and every other execution projects once at the end.  Either way the result
 must be exactly ``project(join_all(rels, s), A)``, for every order and
 execution, including empty operands, operands sharing no attribute
 (Cartesian steps), the empty answer scheme, and answer schemes that reorder
-the joined columns.
+the joined columns.  A seeded join, ``join_all(rels, attributes=A,
+seed=s)``, is ``π_A`` of the join of ``[s, *rels]`` the same way, though
+the indexed execution runs it on its own planner-free kernel.
 """
 
 import pytest
@@ -19,8 +21,10 @@ from repro.datalog.parser import parse_program
 from repro.errors import SchemaError, VocabularyError
 from repro.relational.algebra import join_all, project
 from repro.relational.planner import EXECUTIONS, STRATEGIES
+from repro.cq.query import Atom, Var
 from repro.relational.relation import Relation
 from repro.relational.stats import collect_stats
+from repro.relational.structure import Structure
 from repro.service.core import QueryService
 
 SPECS = [f"{order}+{execution}" for order in STRATEGIES for execution in EXECUTIONS]
@@ -65,6 +69,105 @@ def test_projected_fold_is_the_projected_join(case):
     for spec in SPECS:
         expected = project(join_all(relations, spec), answer)
         assert join_all(relations, spec, attributes=answer) == expected, spec
+
+
+@st.composite
+def seeded_cases(draw):
+    """Operands, a seed and an answer scheme.  The seed is sometimes
+    empty, sometimes shares no attribute with the operands (a Cartesian
+    first step), and sometimes covers an operand's whole scheme (a
+    membership step)."""
+    relations = draw(operands())
+    joined = sorted({a for r in relations for a in r.attributes})
+    kind = draw(st.sampled_from(["overlap", "disjoint", "covering"]))
+    if kind == "disjoint":
+        pool = [a for a in ATTRS if a not in joined] or list(ATTRS)
+    elif kind == "covering":
+        pool = list(draw(st.sampled_from(relations)).attributes)
+    else:
+        pool = list(ATTRS)
+    scheme = tuple(draw(st.permutations(pool)))
+    if kind != "covering":
+        scheme = scheme[: draw(st.integers(min_value=1, max_value=min(3, len(scheme))))]
+    rows = draw(st.lists(st.tuples(*[VALUES] * len(scheme)), max_size=5))
+    seed = Relation(scheme, rows)
+    every = sorted(set(joined) | set(scheme))
+    answer = draw(st.permutations(every))
+    size = draw(st.integers(min_value=0, max_value=len(every)))
+    return relations, seed, tuple(answer[:size])
+
+
+def indexes_held(relations):
+    return sum(len(r.row_memo.indexes) for r in relations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeded_cases())
+def test_seeded_join_is_the_projected_join(case):
+    """The kernel's answer is the projected join and the nested-loop
+    oracle's; a cold run charges one index build per index it leaves
+    memoized and one ``natural_join`` per step, a warm run builds none."""
+    relations, seed, answer = case
+    cold = [Relation(r.attributes, r.tuples) for r in relations]
+    with collect_stats() as stats:
+        result = join_all(cold, attributes=answer, seed=seed)
+    assert stats.index_builds == indexes_held(cold)
+    assert stats.joins <= len(cold)
+    if result:
+        assert stats.joins == len(cold)
+    with collect_stats() as warm:
+        assert join_all(cold, attributes=answer, seed=seed) == result
+    assert warm.index_builds == 0 and warm.joins == stats.joins
+
+    expected = project(join_all([seed, *relations]), answer)
+    assert result == expected
+    assert project(join_all([seed, *relations], "textbook+scan"), answer) == expected
+    for spec in SPECS:
+        assert join_all(relations, spec, attributes=answer, seed=seed) == expected, spec
+
+
+TERMS = st.one_of(st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W")]), VALUES)
+
+
+@st.composite
+def atom_cases(draw):
+    """Atoms over a small database, with constants and repeated
+    variables, one of them read over a few changed rows as the seed."""
+    arities = {"E": 2, "R": 3}
+    database = Structure(
+        arities,
+        range(4),
+        {
+            p: draw(st.lists(st.tuples(*[VALUES] * n), max_size=12))
+            for p, n in arities.items()
+        },
+    )
+    atoms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        predicate = draw(st.sampled_from(sorted(arities)))
+        atoms.append(
+            Atom(predicate, draw(st.lists(TERMS, min_size=arities[predicate], max_size=arities[predicate])))
+        )
+    first = atoms[0]
+    changed = Structure(
+        arities,
+        range(4),
+        {first.predicate: draw(st.lists(st.tuples(*[VALUES] * first.arity), max_size=4))},
+    )
+    seed = atom_relation(first, changed)
+    variables = sorted({v.name for atom in atoms for v in atom.variables()})
+    answer = draw(st.permutations(variables))
+    size = draw(st.integers(min_value=0, max_value=len(variables)))
+    return [atom_relation(atom, database) for atom in atoms[1:]], seed, tuple(answer[:size])
+
+
+@settings(max_examples=80, deadline=None)
+@given(atom_cases())
+def test_seeded_join_over_atoms_with_constants_and_repeats(case):
+    relations, seed, answer = case
+    result = join_all(relations, attributes=answer, seed=seed)
+    assert result == project(join_all([seed, *relations]), answer)
+    assert result == project(join_all([seed, *relations], "textbook+scan"), answer)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -210,11 +313,11 @@ def test_a_free_operand_is_probed_by_the_smaller_side():
     assert stats.hash_probes == 1 and stats.index_builds == 0
 
 
-def test_a_warmed_join_is_planned_once(monkeypatch):
-    """A seeded join and a rule application each run the planner once: the
-    plan that orders the fold also decides which keys of the lasting
-    operands are warmed — the key a step probes, and none for an operand
-    whose variables are all bound by then (a membership test)."""
+def test_a_seeded_join_runs_no_planner(monkeypatch):
+    """A seeded join and a delta rule application never call the planner:
+    the seed drives the join, and each step warms the key it probes on
+    the operand it binds most — none for an operand whose variables are
+    all bound by then (a membership test)."""
     from repro.cq.evaluate import _seeded_join
     from repro.datalog.engine import _apply_rule, _atom_to_relation, evaluate_seminaive
     from repro.relational import algebra, planner
@@ -240,7 +343,7 @@ def test_a_warmed_join_is_planned_once(monkeypatch):
     with collect_stats() as stats:
         rows = _seeded_join(seed, body, database, ("X", "Y"))
     assert sorted(rows) == [(0, 3), (1, 4)]
-    assert plans == [3] and stats.index_builds == 1
+    assert plans == [] and stats.index_builds == 1
     assert [sorted(atom_relation(atom, database).row_memo.indexes) for atom in body] == [
         [],
         [(1,)],
@@ -251,10 +354,8 @@ def test_a_warmed_join_is_planned_once(monkeypatch):
     cache: dict = {}
     delta = {"T": frozenset({(0, 1), (3, 4)})}
     with collect_stats() as stats:
-        derived = _apply_rule(
-            rule, values, delta_atom_index=0, delta=delta, cache=cache, static=frozenset({"E"})
-        )
+        derived = _apply_rule(rule, values, delta_atom_index=0, delta=delta, cache=cache)
     assert sorted(derived) == [(0, 2), (3, 5)]
-    assert plans == [2] and stats.index_builds == 1
+    assert plans == [] and stats.index_builds == 1
     edge_relation = _atom_to_relation(rule.body[1], values["E"], cache)
     assert sorted(edge_relation.row_memo.indexes) == [(0,)]
