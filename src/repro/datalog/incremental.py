@@ -55,7 +55,7 @@ from repro.datalog.engine import (
 from repro.datalog.syntax import Program, Rule
 from repro.errors import DomainError, VocabularyError
 from repro.relational.algebra import join_all
-from repro.relational.relation import Relation, RowMemo
+from repro.relational.relation import Relation, RowMemo, _take
 from repro.relational.structure import Structure, Vocabulary
 from repro.telemetry.spans import span
 
@@ -123,11 +123,11 @@ def _fold_rows(
     replaced by a new list once — a bucket list is never mutated, so a
     copy of the dict that shares it is unaffected."""
     gone: dict[tuple, set] = {}
-    for row in removed:
-        gone.setdefault(tuple([row[i] for i in positions]), set()).add(row)
+    for key, row in zip(_take(removed, positions), removed):
+        gone.setdefault(key, set()).add(row)
     new: dict[tuple, list] = {}
-    for row in added:
-        new.setdefault(tuple([row[i] for i in positions]), []).append(row)
+    for key, row in zip(_take(added, positions), added):
+        new.setdefault(key, []).append(row)
     for key in gone.keys() | new.keys():
         bucket = index.get(key, ())
         dropped = gone.get(key)
@@ -180,7 +180,7 @@ class _PredicateIndexPool:
         self.rows = rows
         self.arity = arity
         self.indexes: dict[tuple[int, ...], dict[tuple, list]] = {}
-        self.counters: list[dict[Any, int]] | None = None
+        self.counters: list[Counter] | None = None
         self.synced = 0
         self.copied: set[tuple[int, ...]] = set()
 
@@ -189,7 +189,7 @@ class _PredicateIndexPool:
         self.synced = 0
         self.copied.clear()
 
-    def _count_from_scratch(self) -> list[dict[Any, int]]:
+    def _count_from_scratch(self) -> list[Counter]:
         return [Counter(map(itemgetter(i), self.rows)) for i in range(self.arity)]
 
     def adopt(self, memo: RowMemo) -> None:
@@ -223,18 +223,14 @@ class _PredicateIndexPool:
                     self.copied.add(positions)
                 _fold_rows(index, positions, added, removed)
             if self.counters is not None:
-                for row in removed:
-                    for i, v in enumerate(row):
-                        counter = self.counters[i]
+                for i, counter in enumerate(self.counters):
+                    for v in map(itemgetter(i), removed):
                         left = counter[v] - 1
                         if left:
                             counter[v] = left
                         else:
                             del counter[v]
-                for row in added:
-                    for i, v in enumerate(row):
-                        counter = self.counters[i]
-                        counter[v] = counter.get(v, 0) + 1
+                    counter.update(map(itemgetter(i), added))
         self.rows = rows
 
 

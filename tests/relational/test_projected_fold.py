@@ -145,9 +145,8 @@ def atom_cases(draw):
     atoms = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         predicate = draw(st.sampled_from(sorted(arities)))
-        atoms.append(
-            Atom(predicate, draw(st.lists(TERMS, min_size=arities[predicate], max_size=arities[predicate])))
-        )
+        arity = arities[predicate]
+        atoms.append(Atom(predicate, draw(st.lists(TERMS, min_size=arity, max_size=arity))))
     first = atoms[0]
     changed = Structure(
         arities,
