@@ -20,8 +20,9 @@ per update is the dominant cost.  Three classical algorithms cooperate:
   support in the surviving state, and the batch's one insertion closure
   cascades the rescues along with the inserted facts.  Facts whose only
   remaining "support" is a derivation cycle through other deleted facts
-  correctly stay dead.  Over-deleted facts leave their value at that
-  closure's fold, so a batch copies each changed IDB value once.
+  correctly stay dead.  A batch's EDB deletions and insertions land in
+  one copy of each value, and over-deleted facts leave their value at
+  that closure's fold, so a batch copies each changed value once.
 * **Deletions** under ``deletion="counting"`` maintain per-fact derivation
   counts for non-recursive programs: each update batch is telescoped into
   signed per-position delta joins, counts are adjusted, and a fact dies
@@ -473,11 +474,10 @@ class IncrementalEvaluation:
         with the net per-predicate changes.
 
         The batch costs O(|Δ| · fan-out) plus one copy of each changed
-        IDB predicate's row set (and one per phase of each changed EDB
-        predicate's).  Every phase records the rows it adds to or removes
-        from a value in the batch's *journal*; the index pools fold in the
-        journal's rows since their last sync, and the report keeps the
-        journal's rows that entered or left a value — no whole value is
+        predicate's row set.  Every phase records the rows it adds to or
+        removes from a value in the batch's *journal*; the index pools fold
+        in the journal's rows since their last sync, and the report keeps
+        the journal's rows that entered or left a value — no whole value is
         diffed against another.
         """
         ins = self._normalize(inserts)
@@ -489,16 +489,14 @@ class IncrementalEvaluation:
             self._journal = {}
             for pool in self._pools.values():
                 pool.begin_batch()
+            self._seed_pool_relations()
             if self._deletion == "counting":
-                self._seed_pool_relations()
                 rounds = self._apply_counting(ins, dels)
                 self._sync_pools()
             else:
-                rounds, delta, removed = 0, {}, {}
-                if dels:
-                    self._seed_pool_relations()
-                    rounds, delta, removed = self._apply_dred(dels)
-                rounds += self._apply_inserts(ins, delta, removed, max(rounds, 1))
+                deleted, delta = self._apply_edb(dels, ins)
+                rounds, removed = self._apply_dred(old, deleted, delta) if deleted else (0, {})
+                rounds += self._close(delta, removed, max(rounds, 1))
                 self._sync_pools()
             report = self._report(old, rounds)
             if report.dirty:
@@ -624,29 +622,41 @@ class IncrementalEvaluation:
                 target_del[p] = frozenset(removed)
         return UpdateReport(edb_added, edb_removed, idb_added, idb_removed, rounds)
 
-    def _apply_inserts(
-        self, inserts: Facts, delta: Facts, removed: dict[str, set], first_round: int
-    ) -> int:
-        """Add the new EDB facts and run one semi-naive closure seeded with
-        them and with ``delta`` (DRed's rederived facts), the facts in
-        ``removed`` leaving their values at the closure's fold."""
-        delta = dict(delta)
-        for predicate, rows in inserts.items():
-            new = rows - self._values[predicate]
+    def _apply_edb(self, deletes: Facts, inserts: Facts) -> tuple[Facts, Facts]:
+        """Apply the batch's EDB changes in one copy of each changed value
+        and bring the pools to them.  Returns the facts deleted and the
+        facts inserted; a fact deleted and inserted at once is present
+        afterwards but counts as both, so DRed retracts what was derived
+        through it and the closure derives it again."""
+        deleted: Facts = {}
+        inserted: Facts = {}
+        for predicate in deletes.keys() | inserts.keys():
+            value = self._values[predicate]
+            gone = deletes.get(predicate, frozenset()) & value
+            rows = inserts.get(predicate, frozenset())
+            new = (rows - value) | (rows & gone)
+            toggled = (gone - new) | (new - value)
+            if toggled:
+                self._values[predicate] = frozenset(toggled).symmetric_difference(value)
+            if gone:
+                deleted[predicate] = gone
+                self._record(predicate, gone)
             if new:
-                self._values[predicate] = self._values[predicate] | new
-                delta[predicate] = new
+                inserted[predicate] = new
                 self._record(predicate, new)
+        self._sync_pools()
+        self._seed_pool_relations()
+        return deleted, inserted
+
+    def _close(self, delta: Facts, removed: dict[str, set], first_round: int) -> int:
+        """Run the batch's one semi-naive closure, seeded with ``delta``
+        (the inserted EDB facts and DRed's rederived ones), the facts in
+        ``removed`` leaving their values at its fold."""
         if not delta:
             for predicate, dead in removed.items():
                 if dead:
                     self._values[predicate] = self._values[predicate] - dead
             return 0
-        # Fold the new EDB facts into the pools (O(delta)) and seed the
-        # snapshots so every closure round probes maintained indexes
-        # instead of rebuilding them.
-        self._sync_pools()
-        self._seed_pool_relations()
         return seminaive_closure(
             self._program,
             self._values,
@@ -658,26 +668,20 @@ class IncrementalEvaluation:
             removed=removed,
         )
 
-    def _apply_dred(self, deletes: Facts) -> tuple[int, Facts, dict[str, set]]:
-        """Delete-and-rederive, up to its cascade: delete the EDB facts,
-        over-delete against the pre-update state, then re-prove what still
-        has support over the current values.  Returns the rounds run, the
-        rederived facts (the cascade's seeds, which
-        :meth:`_apply_inserts`'s closure runs with the inserted facts), and
-        the over-deleted facts that were not rederived.  Those stay in
-        their values, flagged as removed, until that closure's fold: the
-        batch copies each IDB value once, not once per phase."""
+    def _apply_dred(
+        self, old: Facts, deleted: Facts, delta: Facts
+    ) -> tuple[int, dict[str, set]]:
+        """Delete-and-rederive up to its cascade, after :meth:`_apply_edb`:
+        over-delete from the ``deleted`` facts against the pre-update
+        values ``old``, then re-prove what still has support over the
+        current values, adding the rederived facts to ``delta`` (the
+        cascade's seeds, which :meth:`_close` runs with the inserted
+        facts).  Returns the rounds run and the over-deleted facts that
+        were not rederived.  Those stay in their values, flagged as
+        removed, until that closure's fold: the batch copies each IDB
+        value once, not once per phase."""
         values = self._values
-        old = dict(values)
-        delta_minus: Facts = {}
-        for predicate, rows in deletes.items():
-            gone = rows & values[predicate]
-            if gone:
-                values[predicate] = values[predicate] - gone
-                delta_minus[predicate] = gone
-                self._record(predicate, gone)
-        if not delta_minus:
-            return 0, {}, {}
+        delta_minus = deleted
 
         # Phase 1 — over-deletion.  Each rule fires with one body atom
         # reading the deletions and the rest reading the *pre-update*
@@ -718,13 +722,11 @@ class IncrementalEvaluation:
         # rule still derives it from the *current* values: per rule, the
         # seeded derivation π_head(head restriction ⋈ body), the head
         # restriction being the rule head over the over-deleted facts,
-        # with every valuation through an over-deleted fact dropped.
-        # Syncing the pools first moves the EDB indexes to the current
-        # values in O(delta); the IDB values still hold the over-deleted
-        # facts, so their indexes stay as they were.
-        self._sync_pools()
-        self._seed_pool_relations()
-        delta: Facts = {}
+        # with every valuation through a fact still over-deleted dropped.
+        # The IDB values still hold the over-deleted facts, so their
+        # pooled indexes stay as they were.  Phase 3, the cascade (a
+        # rescued fact can re-prove further over-deleted facts), is the
+        # batch's one closure.
         for rule in self._program.rules:
             candidates = over.get(rule.head.predicate)
             if not candidates:
@@ -739,12 +741,9 @@ class IncrementalEvaluation:
             )
             if rescued:
                 head = rule.head.predicate
+                over[head] -= rescued
                 delta[head] = delta.get(head, frozenset()) | rescued
-        # Phase 3 — the cascade: a rescued fact can re-prove further
-        # over-deleted facts downstream; the insertion closure does it.
-        for predicate, rescued in delta.items():
-            over[predicate] -= rescued
-        return rounds, delta, over
+        return rounds, over
 
     # -- counting maintenance -------------------------------------------------
 

@@ -735,8 +735,7 @@ def _join_from_seed(
     recorded as one ``project``.
     """
     answer = frozenset(attributes)
-    schemes = [r.attributes for r in relations]
-    needed = answer.union(*schemes)
+    needed = answer.union(*[r.attributes for r in relations])
     joined = needed.union(seed.attributes)
     if len(answer) != len(attributes) or not answer <= joined:
         _check_scheme(attributes)

@@ -115,8 +115,11 @@ class RowMemo:
     positions to the :meth:`Relation.parts_on` projections of that index's
     buckets; ``distinct`` holds the per-column distinct-value counts behind
     :func:`repro.relational.planner.profile` (``None`` until first
-    requested).  Published indexes and their buckets are never mutated;
-    the memo only ever gains entries.
+    requested).  The memo only ever gains entries, and its indexes and
+    their buckets are never mutated while the relation can still be
+    handed out; the one exception is a maintenance pool's batch-private
+    index, edited in place once the mid-batch snapshot it was published
+    to is unreachable (:mod:`repro.datalog.incremental`).
     """
 
     __slots__ = ("indexes", "code_indexes", "parts", "distinct")
@@ -447,9 +450,10 @@ class Relation:
     def parts_on(
         self, key: Sequence[str], columns: Sequence[str]
     ) -> Mapping[tuple[Any, ...], Collection[tuple[Any, ...]]]:
-        """``key-tuple → the distinct projections onto ``columns`` of the
-        rows carrying it`` — empty for a key no row carries — over
-        :meth:`index_on`'s index on ``key`` (built if missing).
+        """A mapping from each key tuple to the distinct projections onto
+        ``columns`` of the rows carrying it — empty for a key no row
+        carries — over :meth:`index_on`'s index on ``key`` (built if
+        missing).
 
         Each key's entry is computed on its first lookup and memoized with
         the index, by key and column positions, so a join step that keeps
