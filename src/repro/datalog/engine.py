@@ -104,8 +104,8 @@ def _apply_rule(
     In semi-naive mode (``delta_atom_index`` set) the designated body atom
     reads the *delta* value of its predicate instead of the full value,
     and that relation seeds the join (``join_all(..., seed=...)``).
-    ``seed``, a relation over some of the body's variables, seeds it
-    instead, every body atom then reading its full value (DRed's
+    Without a delta atom, ``seed``, a relation over some of the body's
+    variables, seeds it, every body atom reading its full value (DRed's
     rederivation seeds the body with the over-deleted head facts).  A
     seeded join under the default execution plans nothing: it starts from
     the seed's rows and probes the other atoms' memoized join-key indexes,
@@ -130,22 +130,20 @@ def _apply_rule(
             # caching their relations would only evict the persistent
             # snapshots (the bounded per-atom cache is FIFO).
             value = (delta or {}).get(atom.predicate, frozenset())
-            fresh = _atom_to_relation(atom, value, None)
-            if seed is None:
-                seed = fresh
-            else:
-                relations.append(fresh)
+            seed = _atom_to_relation(atom, value, None)
             continue
         value = values.get(atom.predicate, frozenset())
         relations.append(_atom_to_relation(atom, value, cache))
     variables = tuple(dict.fromkeys(v.name for v in rule.head.variables()))
     if seed is None and not relations:
         return frozenset(_instantiate(rule.head, variables, [()]))
-    checks = [
-        atom
-        for i, atom in enumerate(rule.body)
-        if i != delta_atom_index and excluded.get(atom.predicate)
-    ] if excluded else []
+    checks = []
+    if excluded:
+        checks = [
+            atom
+            for i, atom in enumerate(rule.body)
+            if i != delta_atom_index and excluded.get(atom.predicate)
+        ]
     if checks:
         variables = tuple(
             dict.fromkeys(v.name for atom in rule.body for v in atom.variables())
@@ -254,17 +252,17 @@ def seminaive_closure(
             delta = {}
             for p, facts in derived.items():
                 known = pending.setdefault(p, set())
-                new = facts - values[p] - known
+                new = frozenset(facts - values[p] - known)
                 if new:
                     known |= new
                     if journal is not None:
-                        journal.setdefault(p, []).append(frozenset(new))
+                        journal.setdefault(p, []).append(new)
                 revived = facts & gone[p] if p in gone else None
                 if revived:
                     gone[p] -= revived
                     new |= revived
                 if new:
-                    delta[p] = frozenset(new)
+                    delta[p] = new
             if sp:
                 sp.note(rows=sum(len(d) for d in delta.values()))
         rounds += 1
