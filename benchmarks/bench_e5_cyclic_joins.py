@@ -15,14 +15,14 @@ triangle — the adversarial family of
 ``E`` copies contains all Θ(n²) hub wedges, while the output is a constant
 24 rows, so the materialized-intermediate ratio
 
-    ratio(n) = interned.total_intermediate / wcoj.total_intermediate
+    ratio(n) = indexed.total_intermediate / wcoj.total_intermediate
 
 must grow **super-linearly**: asserted in-run as strictly increasing with
 ``ratio(2n) ≥ 2.3 · ratio(n)`` across n ∈ (8, 16, 32, 64) (the exact
 doubling factor tends to 4 — quadratic vs constant).  Each size also
 asserts exact agreement with the nested-loop scan oracle.  A second group
 times 4-clique enumeration on random graphs, wcoj vs the pairwise
-executions, again oracle-checked.
+indexed execution, again oracle-checked.
 """
 
 import pytest
@@ -71,10 +71,10 @@ def test_e5_cyclic_intermediate_ratio_grows_superlinearly():
         rels = triangle_relations(star_edges(n))
         oracle = join_all(rels, strategy="textbook+scan")
         with collect_stats() as pairwise:
-            out_pairwise = join_all(rels, strategy="interned")
+            out_pairwise = join_all(rels, strategy="indexed")
         with collect_stats() as wcoj:
             out_wcoj = leapfrog_join(rels)
-        assert _canon(out_pairwise) == _canon(oracle), f"interned wrong at n={n}"
+        assert _canon(out_pairwise) == _canon(oracle), f"indexed wrong at n={n}"
         assert _canon(out_wcoj) == _canon(oracle), f"wcoj wrong at n={n}"
         # wcoj never materializes anything but the output itself.
         assert wcoj.intermediate_sizes == [len(oracle)], f"n={n}"
@@ -90,7 +90,7 @@ def test_e5_cyclic_intermediate_ratio_grows_superlinearly():
 
 
 @pytest.mark.benchmark(group="E5-cyclic triangle")
-@pytest.mark.parametrize("execution", ["wcoj", "interned", "indexed"])
+@pytest.mark.parametrize("execution", ["wcoj", "indexed"])
 def test_e5_triangle_timing(benchmark, execution):
     """Wall-clock on the n=32 star: the asymptotic gap in materialized rows
     shows up as time once the wedge set dominates."""
@@ -100,7 +100,7 @@ def test_e5_triangle_timing(benchmark, execution):
 
 
 @pytest.mark.benchmark(group="E5-cyclic 4-clique")
-@pytest.mark.parametrize("execution", ["wcoj", "interned"])
+@pytest.mark.parametrize("execution", ["wcoj", "indexed"])
 def test_e5_four_clique_timing(benchmark, execution):
     """K4 enumeration on a random symmetric graph — a denser cyclic body
     (six atoms, binomial edge distribution) than the star family."""

@@ -1,35 +1,21 @@
-"""Micro-benchmarks guarding the interned code-space data plane.
+"""Micro-benchmarks guarding the interned propagation strategy's bitset
+domain kernels.
 
-Two kernel families carry the interning layer's perf claims, and both are
-guarded here with deterministic counter assertions (the paired benchmark
-groups additionally show the wall-clock gap in ``--benchmark-only`` runs):
-
-* **bitset domain kernels** — on dense instances the SAC probe loop keeps
-  invalidating residual supports, so the set-based engine re-scans hash
-  groups value by value while the bitset engine answers each revision with
-  a handful of word operations.  The guard asserts the interned engine
-  performs at least 3× fewer per-value membership operations
-  (``mask_ops``) than the residual engine's row checks
-  (``support_checks``) — measured ≈4.1× on this family.
-
-* **radix-packed join keys** — on E1's workload (the Proposition 2.1
-  join-evaluation family) the interned execution folds the constraint
-  relations through packed single-int probe keys and dense-list buckets,
-  and the dense-int domains take the identity-codec fast path, so the
-  whole pipeline must beat the plain hash-indexed execution wall-clock
-  (measured ≈1.1–1.2×).
+On dense instances the SAC probe loop keeps invalidating residual
+supports, so the set-based engine re-scans hash groups value by value
+while the bitset engine answers each revision with a handful of word
+operations.  The guard asserts the interned engine performs at least 3×
+fewer per-value membership operations (``mask_ops``) than the residual
+engine's row checks (``support_checks``) — measured ≈4.1× on this family.
+It is counter-based, so deterministic; the paired benchmark group shows
+the wall-clock gap in ``--benchmark-only`` runs.
 """
-
-import time
 
 import pytest
 
 from repro.consistency.arc import singleton_arc_consistency
 from repro.consistency.propagation import collect_propagation
-from repro.csp.solvers import join
 from repro.generators.csp_random import random_binary_csp
-from repro.relational.interning import reset_fold_codecs
-from repro.relational.stats import collect_stats
 
 # Dense domains + moderate tightness: SAC pins invalidate stored supports
 # constantly, which is exactly the regime the bitset kernels target.
@@ -38,15 +24,6 @@ DENSE_INSTANCES = [
         n_variables=8, domain_size=24, n_constraints=16, tightness=0.45, seed=s
     )
     for s in range(4)
-]
-
-# E1's workload: the same model-B family bench_e1_join_evaluation.py times.
-E1_INSTANCES = [
-    random_binary_csp(
-        n_variables=9, domain_size=3, n_constraints=12, tightness=t, seed=s
-    )
-    for t in (0.2, 0.4, 0.6)
-    for s in range(3)
 ]
 
 
@@ -88,56 +65,4 @@ def test_micro_bitset_revise_beats_residual_by_3x():
         f"bitset kernel ratio collapsed: {residual.support_checks} residual "
         f"checks vs {interned.mask_ops} mask ops "
         f"({residual.support_checks / max(1, interned.mask_ops):.2f}x)"
-    )
-
-
-@pytest.mark.benchmark(group="micro interning: E1 join")
-@pytest.mark.parametrize("execution", ["indexed", "interned"])
-def test_micro_e1_join_execution(benchmark, execution):
-    verdicts = benchmark(
-        lambda: [
-            join.is_solvable(inst, strategy=execution) for inst in E1_INSTANCES
-        ]
-    )
-    assert len(verdicts) == len(E1_INSTANCES)
-
-
-def _best_of(fn, rounds=9):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_micro_interned_join_beats_indexed_on_e1():
-    """Acceptance criterion: interned join execution beats the plain
-    hash-indexed execution wall-clock on E1's workload.  Best-of-N timing
-    smooths scheduler noise; verdict equality keeps the comparison honest."""
-    runs = {}
-    for execution in ("indexed", "interned"):
-        # The memoized fold codecs may be warm from earlier benchmarks over
-        # the same instances; the counted run must build its own.
-        reset_fold_codecs()
-        with collect_stats() as stats:
-            verdicts = [
-                join.is_solvable(inst, strategy=execution)
-                for inst in E1_INSTANCES
-            ]
-        runs[execution] = (verdicts, stats)
-    assert runs["indexed"][0] == runs["interned"][0]
-    # One shared codec per pipeline plus one CodeIndex per build side.
-    assert runs["interned"][1].intern_tables >= len(E1_INSTANCES)
-    assert runs["indexed"][1].intern_tables == 0
-
-    indexed = _best_of(
-        lambda: [join.is_solvable(i, strategy="indexed") for i in E1_INSTANCES]
-    )
-    interned = _best_of(
-        lambda: [join.is_solvable(i, strategy="interned") for i in E1_INSTANCES]
-    )
-    assert interned < indexed, (
-        f"interned join lost on E1's workload: {interned * 1e3:.2f}ms vs "
-        f"indexed {indexed * 1e3:.2f}ms ({indexed / interned:.2f}x)"
     )

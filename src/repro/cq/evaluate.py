@@ -46,8 +46,7 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
     translated relation, sharing its rows and its positional row memo — so
     the hash indexes and planner statistics one query builds are probed
     for free by the next, whatever it names its variables.  That is the
-    cross-job reuse the :class:`~repro.parallel.coordinator.Coordinator`'s
-    ``"hash"`` routing policy and the :mod:`repro.service` cache lean on.
+    cross-query reuse the :mod:`repro.service` cache leans on.
     """
     if atom.predicate not in database.vocabulary:
         raise VocabularyError(

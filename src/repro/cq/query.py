@@ -8,7 +8,7 @@ are :class:`Var` objects or arbitrary hashable constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ParseError
@@ -32,10 +32,17 @@ class Atom:
 
     predicate: str
     terms: tuple[Any, ...]
+    # Derived from ``terms`` once, at construction; equality, hashing and
+    # ``repr`` ignore it.
+    _variables: tuple[Var, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, predicate: str, terms: Sequence[Any]):
+        terms = tuple(terms)
         object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(
+            self, "_variables", tuple(dict.fromkeys(t for t in terms if isinstance(t, Var)))
+        )
 
     @property
     def arity(self) -> int:
@@ -43,11 +50,7 @@ class Atom:
 
     def variables(self) -> tuple[Var, ...]:
         """The variables of the atom, in order of first occurrence."""
-        seen: list[Var] = []
-        for t in self.terms:
-            if isinstance(t, Var) and t not in seen:
-                seen.append(t)
-        return tuple(seen)
+        return self._variables
 
     def constants(self) -> tuple[Any, ...]:
         return tuple(t for t in self.terms if not isinstance(t, Var))

@@ -70,7 +70,6 @@ from repro.telemetry.spans import span
 __all__ = [
     "Inference",
     "SearchStats",
-    "SearchCancelled",
     "solve",
     "is_solvable",
     "solve_with_stats",
@@ -91,17 +90,12 @@ class SearchStats:
 
     ``propagation`` aggregates the inference layer's
     :class:`~repro.consistency.propagation.PropagationStats` across the whole
-    search (root pass plus every node), for both strategies.  ``tasks`` and
-    ``steals`` count shard-parallel work (:mod:`repro.parallel.search`):
-    subtree tasks executed by workers, and tasks a worker took off the
-    shared work-stealing deque; both stay 0 for a serial solve.
+    search (root pass plus every node), for both strategies.
     """
 
     nodes: int = 0
     backtracks: int = 0
     prunings: int = 0
-    tasks: int = 0
-    steals: int = 0
     propagation: PropagationStats = field(default_factory=PropagationStats)
     solution: dict[Any, Any] | None = field(default=None, repr=False)
 
@@ -120,8 +114,6 @@ class SearchStats:
         self.nodes += other.nodes
         self.backtracks += other.backtracks
         self.prunings += other.prunings
-        self.tasks += other.tasks
-        self.steals += other.steals
         self.propagation.merge(other.propagation)
         if self.solution is None:
             self.solution = other.solution
@@ -132,8 +124,6 @@ class SearchStats:
         self.nodes = 0
         self.backtracks = 0
         self.prunings = 0
-        self.tasks = 0
-        self.steals = 0
         self.propagation.reset()
         self.solution = None
 
@@ -145,8 +135,6 @@ class SearchStats:
             "nodes": self.nodes,
             "backtracks": self.backtracks,
             "prunings": self.prunings,
-            "tasks": self.tasks,
-            "steals": self.steals,
             "solved": self.solution is not None,
             "propagation": self.propagation.as_dict(),
         }
@@ -276,47 +264,21 @@ def _forward_check(
 #: profiles as a sequence of timed batches instead of one opaque span.
 NODE_BATCH_SIZE = 128
 
-#: How often (in visited nodes) a search polls its ``should_stop``
-#: callback.  Cancellation checks may cross a process boundary (a shared
-#: best-path value under :func:`repro.parallel.search.solve_parallel`), so
-#: polling per node would dominate; every 64th node bounds the overshoot
-#: of a cancelled subtree to one small batch.
-STOP_CHECK_INTERVAL = 64
-
-
-class SearchCancelled(Exception):
-    """Raised internally when a search's ``should_stop`` callback fires;
-    the search unwinds and returns its partial stats with no solution."""
-
 
 def solve_with_stats(
     instance: CSPInstance,
     inference: Inference = Inference.MAC,
     strategy: str = "residual",
-    *,
-    should_stop: Any = None,
-    workers: int | None = None,
 ) -> SearchStats:
     """Run backtracking search, returning full :class:`SearchStats`.
 
     ``stats.solution`` is a solution dict or ``None`` if unsolvable.
     ``strategy`` selects the MAC propagation engine (see module docstring);
     it does not affect which solutions exist, only how inference is run.
-    ``should_stop`` (a zero-argument callable) is polled every
-    :data:`STOP_CHECK_INTERVAL` nodes; returning true abandons the search
-    — the first-solution cancellation hook of the parallel plane.
-    ``workers`` > 1 (MAC only) routes the solve through
-    :func:`repro.parallel.search.solve_parallel`: the tree is partitioned
-    by top-level branching across a worker-process pool, and the returned
-    stats are the merged per-worker counters with the identical solution.
     """
     check_propagation_strategy(strategy)
-    if workers is not None and workers > 1 and inference is Inference.MAC:
-        from repro.parallel.search import solve_parallel
-
-        return solve_parallel(instance, strategy=strategy, workers=workers)
     with span("search", inference=inference.value, strategy=strategy) as sp:
-        stats = _search_with_stats(instance, inference, strategy, sp, should_stop)
+        stats = _search_with_stats(instance, inference, strategy, sp)
         if sp:
             # SearchStats is never the ContextVar-installed object, so the
             # span carries its counters explicitly.
@@ -330,7 +292,6 @@ def _search_with_stats(
     inference: Inference,
     strategy: str,
     search_span: Any,
-    should_stop: Any = None,
 ) -> SearchStats:
     instance = instance.normalize()
     stats = SearchStats()
@@ -396,12 +357,6 @@ def _search_with_stats(
 
     def tick_node() -> None:
         stats.nodes += 1
-        if (
-            should_stop is not None
-            and stats.nodes % STOP_CHECK_INTERVAL == 0
-            and should_stop()
-        ):
-            raise SearchCancelled
         if traced and stats.nodes % NODE_BATCH_SIZE == 0:
             close_batch()
             open_batch()
@@ -502,14 +457,7 @@ def _search_with_stats(
 
         if traced:
             open_batch()
-        try:
-            solved = search()
-        except SearchCancelled:
-            # Cancelled mid-tree (first-solution cancellation from a
-            # sibling worker): the partial counters are still honest work
-            # done; the solution stays None.
-            return stats
-        if solved:
+        if search():
             stats.solution = (
                 engine.decode_assignment(assignment)
                 if engine is not None
@@ -530,21 +478,15 @@ def solve(
     instance: CSPInstance,
     inference: Inference = Inference.MAC,
     strategy: str = "residual",
-    *,
-    workers: int | None = None,
 ) -> dict[Any, Any] | None:
     """Return one solution (or ``None``) using backtracking search."""
-    return solve_with_stats(
-        instance, inference, strategy=strategy, workers=workers
-    ).solution
+    return solve_with_stats(instance, inference, strategy=strategy).solution
 
 
 def is_solvable(
     instance: CSPInstance,
     inference: Inference = Inference.MAC,
     strategy: str = "residual",
-    *,
-    workers: int | None = None,
 ) -> bool:
     """Decide solvability using backtracking search."""
-    return solve(instance, inference, strategy=strategy, workers=workers) is not None
+    return solve(instance, inference, strategy=strategy) is not None

@@ -14,11 +14,7 @@ from repro.datalog.engine import (
     goal_relation,
     seminaive_closure,
 )
-from repro.datalog.incremental import (
-    DELETION_MODES,
-    IncrementalEvaluation,
-    UpdateReport,
-)
+from repro.datalog.incremental import IncrementalEvaluation, UpdateReport
 from repro.datalog.library import (
     non_two_colorability_program,
     transitive_closure_program,
@@ -39,7 +35,6 @@ __all__ = [
     "goal_relation",
     "IncrementalEvaluation",
     "UpdateReport",
-    "DELETION_MODES",
     "canonical_program",
     "CanonicalProgram",
     "spoiler_wins_via_datalog",

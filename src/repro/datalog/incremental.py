@@ -1,10 +1,10 @@
-"""Incremental view maintenance: semi-naive insertion deltas, DRed and
-counting deletion.
+"""Incremental view maintenance: semi-naive insertion deltas and DRed
+deletion.
 
 A :class:`IncrementalEvaluation` keeps the least fixpoint of a Datalog
 program *materialized* while the EDB changes underneath it — the
 "millions of users, heavy traffic" regime where refixpointing from scratch
-per update is the dominant cost.  Three classical algorithms cooperate:
+per update is the dominant cost.  Two classical algorithms cooperate:
 
 * **Insertions** run the semi-naive delta closure
   (:func:`repro.datalog.engine.seminaive_closure`) seeded with the freshly
@@ -12,7 +12,7 @@ per update is the dominant cost.  Three classical algorithms cooperate:
   an update batch touches only the affected part of the fixpoint, and the
   persistent atom-relation cache keeps the warmed hash indexes of the
   unchanged predicates alive across batches.
-* **Deletions** under ``deletion="dred"`` use *delete-and-rederive*
+* **Deletions** use *delete-and-rederive*
   (Gupta–Mumick–Subrahmanian): first an over-deletion pass propagates the
   deleted facts through the rules against the pre-update state (anything
   with a derivation using a deleted fact is provisionally removed), then a
@@ -22,16 +22,11 @@ per update is the dominant cost.  Three classical algorithms cooperate:
   remaining "support" is a derivation cycle through other deleted facts
   correctly stay dead.  A batch's EDB deletions and insertions land in
   one copy of each value, and over-deleted facts leave their value at
-  that closure's fold, so a batch copies each changed value once.
-* **Deletions** under ``deletion="counting"`` maintain per-fact derivation
-  counts for non-recursive programs: each update batch is telescoped into
-  signed per-position delta joins, counts are adjusted, and a fact dies
-  exactly when its count reaches zero.  Counting is rejected for recursive
-  programs (a fact can participate in its own count — the classical
-  restriction), where DRed remains the safe default.
+  that closure's fold, so a batch copies each changed value once.  DRed
+  is correct for recursive and non-recursive programs alike.
 
-Every batch is traced: the ``datalog.update`` span carries the deletion
-mode and per-batch row deltas, and all joins charge the ambient
+Every batch is traced: the ``datalog.update`` span carries the per-batch
+row deltas, and all joins charge the ambient
 :class:`~repro.relational.stats.EvalStats` exactly as the from-scratch
 evaluators do.
 """
@@ -50,20 +45,17 @@ from repro.datalog.engine import (
     _apply_rule,
     _atom_to_relation,
     _edb_facts,
-    _instantiate,
     seminaive_closure,
 )
-from repro.datalog.syntax import Program, Rule
-from repro.errors import DomainError, VocabularyError
-from repro.relational.algebra import join_all
+from repro.datalog.syntax import Program
+from repro.errors import VocabularyError
+# Not called here: perfbench/tracing.py times this module's join_all.
+from repro.relational.algebra import join_all  # noqa: F401
 from repro.relational.relation import Relation, RowMemo, _take
 from repro.relational.structure import Structure, Vocabulary
 from repro.telemetry.spans import span
 
-__all__ = ["DELETION_MODES", "IncrementalEvaluation", "UpdateReport"]
-
-#: The deletion algorithms :class:`IncrementalEvaluation` accepts.
-DELETION_MODES = ("dred", "counting")
+__all__ = ["IncrementalEvaluation", "UpdateReport"]
 
 
 @dataclass(frozen=True)
@@ -315,9 +307,6 @@ class IncrementalEvaluation:
         or a ``{predicate: rows}`` mapping).
     strategy:
         Join order/execution passed through to the rule-body joins.
-    deletion:
-        ``"dred"`` (default, any program) or ``"counting"`` (non-recursive
-        programs only).
     """
 
     def __init__(
@@ -325,21 +314,9 @@ class IncrementalEvaluation:
         program: Program,
         database: Structure | Mapping[str, Any] | None = None,
         strategy: str | None = None,
-        deletion: str = "dred",
     ):
-        if deletion not in DELETION_MODES:
-            raise DomainError(
-                f"unknown deletion mode {deletion!r}; expected one of {DELETION_MODES}"
-            )
-        if deletion == "counting" and program.is_recursive():
-            raise DomainError(
-                "counting-based deletion requires a non-recursive program "
-                "(a recursive fact can support its own derivation count); "
-                "use deletion='dred'"
-            )
         self._program = program
         self._strategy = strategy
-        self._deletion = deletion
         self._idbs = program.idb_predicates()
         self._cache = _BoundedAtomCache()
         self._structure: Structure | None = None
@@ -362,7 +339,7 @@ class IncrementalEvaluation:
         # The current batch's journal: per predicate, the row sets its
         # phases added to or removed from the value, in order.
         self._journal: dict[str, list] = {}
-        with span("datalog.incremental.init", mode=deletion) as sp:
+        with span("datalog.incremental.init") as sp:
             values = _edb_facts(program, database or {})
             for idb in self._idbs:
                 values[idb] = frozenset()
@@ -382,9 +359,6 @@ class IncrementalEvaluation:
             )
             self._values: Facts = values
             self._sync_pools()
-            self._counts: dict[str, dict[tuple, int]] | None = None
-            if deletion == "counting":
-                self._counts = self._recount()
             if sp:
                 sp.note(
                     rounds=rounds,
@@ -396,11 +370,6 @@ class IncrementalEvaluation:
     @property
     def program(self) -> Program:
         return self._program
-
-    @property
-    def deletion(self) -> str:
-        """The deletion algorithm in force (``"dred"`` or ``"counting"``)."""
-        return self._deletion
 
     @property
     def generation(self) -> int:
@@ -482,22 +451,16 @@ class IncrementalEvaluation:
         """
         ins = self._normalize(inserts)
         dels = self._normalize(deletes)
-        with span(
-            "datalog.update", mode=self._deletion, batch=self._generation
-        ) as sp:
+        with span("datalog.update", batch=self._generation) as sp:
             old = dict(self._values)
             self._journal = {}
             for pool in self._pools.values():
                 pool.begin_batch()
             self._seed_pool_relations()
-            if self._deletion == "counting":
-                rounds = self._apply_counting(ins, dels)
-                self._sync_pools()
-            else:
-                deleted, delta = self._apply_edb(dels, ins)
-                rounds, removed = self._apply_dred(old, deleted, delta) if deleted else (0, {})
-                rounds += self._close(delta, removed, max(rounds, 1))
-                self._sync_pools()
+            deleted, delta = self._apply_edb(dels, ins)
+            rounds, removed = self._apply_dred(old, deleted, delta) if deleted else (0, {})
+            rounds += self._close(delta, removed, max(rounds, 1))
+            self._sync_pools()
             report = self._report(old, rounds)
             if report.dirty:
                 self._structure = None
@@ -744,131 +707,6 @@ class IncrementalEvaluation:
                 over[head] -= rescued
                 delta[head] = delta.get(head, frozenset()) | rescued
         return rounds, over
-
-    # -- counting maintenance -------------------------------------------------
-
-    def _recount(self) -> dict[str, dict[tuple, int]]:
-        """Derivation counts of every IDB fact under the current values."""
-        counts: dict[str, dict[tuple, int]] = {idb: {} for idb in self._idbs}
-        for rule in self._program.rules:
-            per_head = counts[rule.head.predicate]
-            sources = [
-                self._values.get(atom.predicate, frozenset()) for atom in rule.body
-            ]
-            for fact in self._rule_derivations(rule, sources):
-                per_head[fact] = per_head.get(fact, 0) + 1
-        return counts
-
-    def _rule_derivations(self, rule: Rule, sources: list[frozenset]) -> list[tuple]:
-        """Head facts of one rule, one per satisfying valuation of the body
-        (one entry per valuation — *not* deduplicated across valuations).
-        ``sources[i]`` is the row set body atom ``i`` reads."""
-        relations = [
-            _atom_to_relation(atom, source, self._cache)
-            for atom, source in zip(rule.body, sources)
-        ]
-        joined = join_all(relations, strategy=self._strategy)
-        return list(_instantiate(rule.head, joined.attributes, joined.tuples))
-
-    def _apply_counting(self, inserts: Facts, deletes: Facts) -> int:
-        """Counting maintenance for non-recursive programs: telescope the
-        batch into signed per-position delta joins and adjust derivation
-        counts stratum by stratum."""
-        assert self._counts is not None
-        values = self._values
-        old = dict(values)
-        delta_plus: dict[str, frozenset] = {}
-        delta_minus: dict[str, frozenset] = {}
-        for predicate, rows in deletes.items():
-            gone = rows & values[predicate]
-            if gone:
-                values[predicate] = values[predicate] - gone
-                delta_minus[predicate] = gone
-                self._record(predicate, gone)
-        for predicate, rows in inserts.items():
-            new = rows - values[predicate]
-            if new:
-                values[predicate] = values[predicate] | new
-                delta_plus[predicate] = new
-                self._record(predicate, new)
-
-        for idb in self._topological_idbs():
-            per_head = self._counts[idb]
-            signed: dict[tuple, int] = {}
-            for rule in self._program.rules:
-                if rule.head.predicate != idb:
-                    continue
-                # Δ(A₁ ⋈ … ⋈ Aₙ) = Σᵢ new₁‥newᵢ₋₁ ⋈ ΔAᵢ ⋈ oldᵢ₊₁‥oldₙ —
-                # each changed valuation is counted exactly once, at the
-                # first position where it reads a changed fact.  Sources
-                # are per *position*, so a predicate appearing both before
-                # and after position ``i`` reads its new value on the left
-                # and its old value on the right, as the identity requires.
-                for i, atom in enumerate(rule.body):
-                    plus = delta_plus.get(atom.predicate)
-                    minus = delta_minus.get(atom.predicate)
-                    if not plus and not minus:
-                        continue
-                    left = [
-                        values.get(a.predicate, frozenset())
-                        for a in rule.body[:i]
-                    ]
-                    right = [
-                        old.get(a.predicate, frozenset())
-                        for a in rule.body[i + 1 :]
-                    ]
-                    if plus:
-                        for fact in self._rule_derivations(
-                            rule, left + [plus] + right
-                        ):
-                            signed[fact] = signed.get(fact, 0) + 1
-                    if minus:
-                        for fact in self._rule_derivations(
-                            rule, left + [minus] + right
-                        ):
-                            signed[fact] = signed.get(fact, 0) - 1
-            added: set[tuple] = set()
-            removed: set[tuple] = set()
-            for fact, d in signed.items():
-                before = per_head.get(fact, 0)
-                after = before + d
-                if after < 0:
-                    raise DomainError(
-                        f"negative derivation count for {idb}{fact!r} — "
-                        "counting invariant violated"
-                    )
-                if after == 0:
-                    per_head.pop(fact, None)
-                else:
-                    per_head[fact] = after
-                if before == 0 and after > 0:
-                    added.add(fact)
-                elif before > 0 and after == 0:
-                    removed.add(fact)
-            if added:
-                values[idb] = values[idb] | added
-                delta_plus[idb] = frozenset(added)
-                self._record(idb, added)
-            if removed:
-                values[idb] = values[idb] - removed
-                delta_minus[idb] = frozenset(removed)
-                self._record(idb, removed)
-        return 1
-
-    def _topological_idbs(self) -> list[str]:
-        """IDB predicates ordered so that every body dependency precedes
-        its head (well-defined: counting mode rejects recursion)."""
-        deps = self._program.dependency_graph()
-        done: set[str] = set()
-        order: list[str] = []
-        pending = dict(deps)
-        while pending:
-            ready = sorted(p for p, d in pending.items() if d <= done)
-            for p in ready:
-                order.append(p)
-                done.add(p)
-                del pending[p]
-        return order
 
 
 def _count(counts: dict[Any, int], rows: Iterable[tuple], step: int) -> None:

@@ -242,19 +242,14 @@ def natural_join(
       builds), and the other operand's rows probe it.
     * ``"scan"`` — the nested-loop implementation: every probe scans the
       whole other relation.  Kept for differential testing.
-    * ``"interned"`` — the code-space fast path: the build side's key
-      columns are interned to dense ints and probed through the memoized
-      radix-packed :meth:`Relation.code_index_on` index, so a probe costs
-      one small-int fold instead of a tuple allocation plus tuple hash.
     * ``"wcoj"`` — the two-relation leapfrog triejoin of
       :mod:`repro.relational.wcoj`: both operands are sorted into
       per-attribute tries over a shared dense-int codec and intersected
       variable-at-a-time (seek-based, no hash tables).
-    * ``"parallel"`` — the shard-parallel path of :mod:`repro.parallel`:
-      both operands are hash-partitioned on the canonical join key (one
-      shared codec, radix-packed codes modulo the worker count) and the
-      per-shard joins fan out across a persistent worker-process pool,
-      falling back to serial execution below a size threshold.
+    * ``"columnar"`` — the batched column sweep of
+      :mod:`repro.relational.columnar`: the probe side's key columns are
+      looked up against the build side's memoized radix-packed
+      :meth:`Relation.code_index_on` index in one pass.
 
     All produce the same relation with the same column order
     (``left``'s scheme followed by ``right``'s private attributes).  When
@@ -278,10 +273,6 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
         from repro.relational.columnar import batched_natural_join
 
         return batched_natural_join(left, right)
-    if execution == "parallel":
-        from repro.parallel.joins import parallel_natural_join
-
-        return parallel_natural_join(left, right)
     stats = current_stats()
     start = perf_counter() if stats is not None else 0.0
     shared, right_private = _shared_and_private(left, right)
@@ -305,55 +296,6 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
                 "natural_join",
                 scanned=len(left) + len(left) * len(right),
                 emitted=len(result),
-                seconds=perf_counter() - start,
-                intermediate=len(result),
-            )
-        return result
-
-    if execution == "interned":
-        build_side = choose_build_side(left, right, key, interned=True)
-        build, probe = (right, left) if build_side == "right" else (left, right)
-        built = not build.has_code_index(key)
-        code_index = build.code_index_on(key)
-        encode_key, base = code_index.encode, code_index.base
-        lookup = code_index.lookup()
-        probe_key = [probe.index_of(a) for a in key]
-        hits = misses = 0
-
-        def interned_rows() -> Iterable[tuple[Any, ...]]:
-            nonlocal hits, misses
-            for pt in probe:
-                packed = 0
-                for i in probe_key:
-                    code = encode_key.get(pt[i])
-                    if code is None:
-                        packed = -1
-                        break
-                    packed = packed * base + code
-                bucket = lookup(packed) if packed >= 0 else None
-                if bucket is None:
-                    misses += 1
-                    continue
-                hits += 1
-                if build_side == "right":
-                    for rt in bucket:
-                        yield pt + tuple(rt[i] for i in right_private_idx)
-                else:
-                    for lt in bucket:
-                        yield lt + tuple(pt[i] for i in right_private_idx)
-
-        result = Relation(out_attrs, interned_rows())
-        if stats is not None:
-            stats.record(
-                "natural_join",
-                scanned=len(probe) + (len(build) if built else 0),
-                probes=len(probe),
-                index_builds=1 if built else 0,
-                index_hits=hits,
-                probe_misses=misses,
-                emitted=len(result),
-                intern_tables=1 if built else 0,
-                bitset_words=code_index.words if built else 0,
                 seconds=perf_counter() - start,
                 intermediate=len(result),
             )
@@ -419,19 +361,15 @@ def join_all(
     * ``"textbook"`` — join in the order given, the naive baseline.
 
     Executions: ``"indexed"`` (memoized hash indexes, the default),
-    ``"scan"`` (nested loops), and ``"interned"`` (the code-space
-    pipeline: every base relation is re-encoded over one shared dense-int
-    codec, the fold runs entirely on int tuples probing radix-packed code
-    indexes, and the final relation is decoded back — values cross the
-    value↔code boundary exactly twice), and ``"wcoj"`` (the worst-case
-    optimal leapfrog triejoin: the binary fold is replaced by one
+    ``"scan"`` (nested loops), ``"wcoj"`` (the worst-case optimal
+    leapfrog triejoin: the binary fold is replaced by one
     variable-at-a-time multi-way join over per-attribute sorted tries,
     materializing nothing but the output — see
-    :mod:`repro.relational.wcoj`), and ``"parallel"`` (the fold is
-    hash-partitioned on its most-shared attribute and the per-shard
-    folds run across the :mod:`repro.parallel` worker pool, with a
-    serial fallback below a size threshold); compound specs like
-    ``"textbook+scan"`` fix both.  An explicit ``execution`` keyword
+    :mod:`repro.relational.wcoj`), and ``"columnar"`` (with numpy, the
+    whole fold runs on int64 column matrices over one shared dense-int
+    codec and decodes once — see
+    :func:`repro.relational.columnar.join_all_columnar`); compound specs
+    like ``"textbook+scan"`` fix both.  An explicit ``execution`` keyword
     overrides the spec.
 
     Joining the empty collection yields :meth:`Relation.unit`, the join
@@ -505,15 +443,6 @@ def _join_all(pending: Sequence[Relation], execution: str) -> Relation:
         from repro.relational.wcoj import leapfrog_join
 
         return leapfrog_join(pending)
-    if execution == "interned":
-        return _join_all_interned(pending)
-    if execution == "parallel":
-        # Hash-partition the fold on its most-shared attribute and fan the
-        # per-shard folds across the worker pool (serial fallback below the
-        # size threshold); the planner's order is preserved per shard.
-        from repro.parallel.joins import parallel_fold
-
-        return parallel_fold(pending)
     if execution == "columnar":
         from repro.relational.columnar import (
             ColumnarFallback,
@@ -797,81 +726,6 @@ def _join_from_seed(
     return Relation.from_trusted_rows(attributes, rows)
 
 
-def _join_all_interned(pending: Sequence[Relation]) -> Relation:
-    """The :func:`join_all` fold in code space.
-
-    One codec interns the union of the operands' active domains; every
-    operand is rebuilt with int-tuple rows; the binary joins run with
-    ``execution="interned"`` (so their key packing works on dense ints);
-    and only the final result is decoded.  The planner has already fixed
-    the order, which — like the result — is identical to the plain paths'
-    because the encoding is a bijection.
-    """
-    from repro.relational.interning import fold_codec
-
-    stats = current_stats()
-    start = perf_counter() if stats is not None else 0.0
-    # The shared codec is memoized per fold (identity tier first, then the
-    # relation-set tier): re-folding the same relations — Datalog rounds,
-    # repeated solvability checks, per-shard fans — skips the repr-sort of
-    # the union universe.  Only an actual build charges ``intern_tables``;
-    # a served codec charges ``codec_cache_hits``.
-    codec, codec_built = fold_codec(pending)
-    # Codes are assigned in repr order, so a value universe that is already
-    # the dense ints 0..n-1 (in repr order) interns to itself.  Both
-    # value↔code boundary passes are then the identity and can be skipped —
-    # the fold below runs on the original relations, which *are* their own
-    # encodings.
-    identity = all(
-        type(v) is int and v == i for i, v in enumerate(codec.values)
-    )
-    if identity:
-        encoded: Sequence[Relation] = pending
-    else:
-        encoded = [
-            Relation(rel.attributes, (codec.encode_row(t) for t in rel))
-            for rel in pending
-        ]
-    if stats is not None:
-        stats.record(
-            "intern_encode",
-            scanned=0 if identity else sum(len(r) for r in pending),
-            intern_tables=1 if codec_built else 0,
-            codec_cache_hits=0 if codec_built else 1,
-            seconds=perf_counter() - start,
-        )
-
-    def decode(relation: Relation) -> Relation:
-        if identity:
-            return relation
-        decode_start = perf_counter() if stats is not None else 0.0
-        values = codec.values
-        decoded = Relation(
-            relation.attributes,
-            (tuple(values[c] for c in t) for t in relation),
-        )
-        if stats is not None:
-            stats.record(
-                "intern_decode",
-                scanned=len(relation),
-                emitted=len(decoded),
-                seconds=perf_counter() - decode_start,
-            )
-        return decoded
-
-    result = Relation.unit()
-    for rel in encoded:
-        result = natural_join(result, rel, execution="interned")
-        if not result:
-            all_attrs = list(result.attributes)
-            for other in encoded:
-                for a in other.attributes:
-                    if a not in all_attrs:
-                        all_attrs.append(a)
-            return Relation.empty(all_attrs)
-    return decode(result)
-
-
 def semijoin(
     left: Relation, right: Relation, *, execution: str | None = None
 ) -> Relation:
@@ -883,10 +737,8 @@ def semijoin(
     :meth:`Relation.index_on` hash index on the shared attributes — so a
     reducer used repeatedly (as in Yannakakis' two passes) pays for its
     index once — while ``"scan"`` re-scans ``right`` per row of ``left``.
-    ``"interned"`` packs each probe key into a single dense int and, when
-    the key space is small, answers the membership question with one
-    shift-and-mask against ``right``'s membership bitmap (counted in
-    ``EvalStats.mask_ops``).
+    ``"wcoj"`` and ``"columnar"`` probe ``right``'s sorted trie and its
+    radix-packed code index respectively.
     """
     execution = _resolve_execution(execution)
     with span("semijoin", execution=execution) as sp:
@@ -905,10 +757,6 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
         from repro.relational.columnar import batched_semijoin
 
         return batched_semijoin(left, right)
-    if execution == "parallel":
-        from repro.parallel.joins import parallel_semijoin
-
-        return parallel_semijoin(left, right)
     stats = current_stats()
     start = perf_counter() if stats is not None else 0.0
     shared, _ = _shared_and_private(left, right)
@@ -933,66 +781,6 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
                 "semijoin",
                 scanned=len(left) + examined,
                 emitted=len(result),
-                seconds=perf_counter() - start,
-            )
-        return result
-
-    if execution == "interned":
-        built = not right.has_code_index(key)
-        code_index = right.code_index_on(key)
-        encode_key, base = code_index.encode, code_index.base
-        hits = misses = mask_ops = 0
-
-        if code_index.dense:
-            member_mask = code_index.member_mask
-
-            def interned_matches(lt: tuple[Any, ...]) -> bool:
-                nonlocal hits, misses, mask_ops
-                packed = 0
-                for i in left_key:
-                    code = encode_key.get(lt[i])
-                    if code is None:
-                        misses += 1
-                        return False
-                    packed = packed * base + code
-                mask_ops += 1
-                if (member_mask >> packed) & 1:
-                    hits += 1
-                    return True
-                misses += 1
-                return False
-
-        else:
-            buckets = code_index.buckets
-
-            def interned_matches(lt: tuple[Any, ...]) -> bool:
-                nonlocal hits, misses
-                packed = 0
-                for i in left_key:
-                    code = encode_key.get(lt[i])
-                    if code is None:
-                        misses += 1
-                        return False
-                    packed = packed * base + code
-                if packed in buckets:
-                    hits += 1
-                    return True
-                misses += 1
-                return False
-
-        result = Relation(left.attributes, (t for t in left if interned_matches(t)))
-        if stats is not None:
-            stats.record(
-                "semijoin",
-                scanned=len(left) + (len(right) if built else 0),
-                probes=len(left),
-                index_builds=1 if built else 0,
-                index_hits=hits,
-                probe_misses=misses,
-                emitted=len(result),
-                intern_tables=1 if built else 0,
-                bitset_words=code_index.words if built else 0,
-                mask_ops=mask_ops,
                 seconds=perf_counter() - start,
             )
         return result

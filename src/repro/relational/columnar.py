@@ -8,7 +8,8 @@ layer change: a :class:`~repro.relational.relation.Relation` gains a lazily
 built, memoized :class:`ColumnStore` — one stdlib ``array('q')`` of interned
 codes per column (struct of arrays, zero-copy ``memoryview``-able), sharing
 the dense-int :class:`~repro.relational.interning.Codec` discipline of the
-interned data plane — and the hot per-row loops become whole-column sweeps:
+bitset propagation engines — and the hot per-row loops become whole-column
+sweeps:
 
 * :func:`mask_select` — selection as a predicate mask applied per column
   (each predicate runs once per *distinct* value, not once per row);
@@ -30,7 +31,7 @@ back to a pure-stdlib loop over the same columns, computing the identical
 result — the fallback is differentially tested by masking numpy out of
 ``sys.modules``.  Either way the row path remains the oracle: the
 differential matrix pins ``execution="columnar"`` to exact row-set
-agreement with ``scan``/``indexed``/``interned``/``wcoj``.
+agreement with ``scan``/``indexed``/``wcoj``.
 
 Accounting is honest, mirroring :func:`repro.relational.algebra.warm_index`:
 the query whose probe first columnizes a relation is charged the build
@@ -54,7 +55,6 @@ __all__ = [
     "PACKED_KEY_SPACE_CAP",
     "ColumnStore",
     "column_store",
-    "warm_columns",
     "numpy_backend",
     "reset_numpy_backend",
     "mask_select",
@@ -167,16 +167,6 @@ class ColumnStore:
             )
         return self._np_columns
 
-    def __getstate__(self) -> tuple:
-        # The numpy views are zero-copy aliases of ``columns`` — derived
-        # state that must not drag a second copy of every column across a
-        # pickle boundary.  They rebuild lazily on the other side.
-        return (self.attributes, self.codec, self.rows, self.nrows, self.columns)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.attributes, self.codec, self.rows, self.nrows, self.columns = state
-        self._np_columns = None
-
     def to_relation(self) -> Relation:
         """Decode the columns back to a relation (the round-trip law:
         ``column_store(r).to_relation() == r``)."""
@@ -213,38 +203,6 @@ def column_store(relation: Relation) -> ColumnStore:
             seconds=perf_counter() - start,
         )
     return store
-
-
-def warm_columns(relation: Relation, attributes: Iterable[str] | None = None) -> bool:
-    """Pre-build ``relation``'s column store (and, when ``attributes`` is
-    given, its radix-packed code index on the canonical sorted key),
-    charging the builds to the active EvalStats.
-
-    The columnar counterpart of
-    :func:`repro.relational.algebra.warm_index`, for a caller that knows a
-    relation will be probed repeatedly on one key.  Returns ``True`` iff
-    anything was built.
-    """
-    built = relation._column_store is None
-    column_store(relation)
-    if attributes is None:
-        return built
-    key = tuple(sorted(attributes))
-    if relation.has_code_index(key):
-        return built
-    stats = current_stats()
-    start = perf_counter() if stats is not None else 0.0
-    index = relation.code_index_on(key)
-    if stats is not None:
-        stats.record(
-            "index_build",
-            scanned=len(relation),
-            index_builds=1,
-            intern_tables=1,
-            bitset_words=index.words,
-            seconds=perf_counter() - start,
-        )
-    return True
 
 
 # -- selection ---------------------------------------------------------------
@@ -432,8 +390,8 @@ def batched_semijoin(left: Relation, right: Relation) -> Relation:
 
 def batched_natural_join(left: Relation, right: Relation) -> Relation:
     """``left ⋈ right`` with a columnized probe side: the build side owns
-    the memoized :class:`~repro.relational.relation.CodeIndex` (the planner
-    picks it exactly as in the interned execution), the probe side's key
+    the memoized :class:`~repro.relational.relation.CodeIndex` (a memoized
+    code index is free, otherwise the smaller side builds), the probe side's key
     columns are packed and membership-filtered in one batch, and only the
     matching rows enter the Python emit loop.
     """
@@ -552,8 +510,8 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
     """The :func:`repro.relational.algebra.join_all` fold, columnar end to
     end (numpy required — callers check :func:`numpy_backend` first).
 
-    One shared codec interns the union of the operands' active domains (as
-    in the interned pipeline); every operand's memoized column store is
+    One shared codec interns the union of the operands' active domains;
+    every operand's memoized column store is
     translated into shared-code ``int64`` columns; each binary fold step is
     a batched sort-merge probe — pack both sides' keys, ``argsort`` the
     smaller side, ``searchsorted`` every probe key at once, expand the
@@ -574,13 +532,10 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
     # The shared codec interns the union of the operands' active domains,
     # memoized per fold (:func:`repro.relational.interning.fold_codec`): a
     # warm re-fold of the same relations — Datalog rounds, repeated
-    # solvability checks, per-shard fans — skips the repr-sort entirely,
-    # and the interned pipeline folding the same relations shares the
-    # identical codec object.
+    # solvability checks — skips the repr-sort entirely.
     stores = [column_store(rel) for rel in pending]
     codec, codec_built = fold_codec(pending)
-    # The identity-codec fast path of the interned pipeline: a universe
-    # that is already the dense ints 0..n-1 (in repr order) interns to
+    # The identity-codec fast path: a universe that is already the dense ints 0..n-1 (in repr order) interns to
     # itself, so the decode boundary can emit the codes directly.
     identity = all(type(v) is int and v == i for i, v in enumerate(codec.values))
     base = max(1, len(codec))

@@ -120,23 +120,12 @@ class Codec:
         values = self._values
         return {values[c] for c in bit_positions(mask)}
 
-    # Only the value tuple crosses a pickle boundary; the code dict is
-    # derived state, rebuilt on arrival — halving the wire size of every
-    # codec a sharded worker receives.
-
-    def __getstate__(self) -> Tuple[Any, ...]:
-        return self._values
-
-    def __setstate__(self, values: Tuple[Any, ...]) -> None:
-        self._values = values
-        self._codes = {v: i for i, v in enumerate(values)}
-
 
 # The memoized fold codecs of :func:`fold_codec`, two tiers.  Profiles show
-# the repr-sort of the shared universe dominating the *warm* interned and
-# columnar join paths, and workloads re-fold the same base relations
-# (Datalog rounds, repeated solvability checks, per-shard fans), so a small
-# cache removes the sort from every repeat.
+# the repr-sort of the shared universe dominating the *warm* columnar join
+# path, and workloads re-fold the same base relations (Datalog rounds,
+# repeated solvability checks), so a small cache removes the sort from
+# every repeat.
 #
 # * ``_FOLD_CODECS_BY_ID`` — the fast tier, keyed on the participating
 #   relations' *identities*.  A repeated evaluation of the same view folds

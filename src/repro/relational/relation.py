@@ -262,10 +262,8 @@ class Relation:
     #
     # Only the scheme and the rows travel: the row memo (hash indexes, code
     # indexes, distinct counts) and the column store are derived state,
-    # rebuilt lazily on the other side of the wire — a sharded worker
-    # re-derives exactly what it probes, and a pickled relation costs no
-    # more than its rows
-    # (tests/parallel/test_pickling.py pins the size regression).
+    # rebuilt lazily on the other side, so a pickled relation costs no more
+    # than its rows.
 
     def __getstate__(self) -> tuple[tuple[str, ...], frozenset[tuple[Any, ...]]]:
         return (self._attributes, self._tuples)

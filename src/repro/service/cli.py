@@ -40,10 +40,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--program", default=None, metavar="FILE",
         help="Datalog program file (default: the transitive-closure program)",
     )
-    parser.add_argument(
-        "--deletion", choices=("dred", "counting"), default="dred",
-        help="deletion algorithm for the maintenance plane (default: dred)",
-    )
     from repro.relational.algebra import DEFAULT_EXECUTION, DEFAULT_STRATEGY
     from repro.relational.planner import EXECUTIONS, STRATEGIES
 
@@ -118,11 +114,7 @@ def run_serve(
         stdout.flush()
 
     try:
-        service = QueryService(
-            _load_program(args.program),
-            strategy=args.strategy,
-            deletion=args.deletion,
-        )
+        service = QueryService(_load_program(args.program), strategy=args.strategy)
     except (ReproError, OSError, ValueError) as exc:
         kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         respond({"ok": False, "error": f"{kind}: {exc}"})

@@ -93,9 +93,6 @@ class QueryService:
         evaluation (``None``/"auto"/"wcoj"/...).  Refreshes run on the
         default fold whatever the strategy: every strategy gives the same
         answer.
-    deletion:
-        Deletion algorithm for the maintenance plane (``"dred"`` or
-        ``"counting"``).
     cache_capacity / containment_probes:
         Forwarded to :class:`~repro.service.cache.ResultCache`.
     """
@@ -106,14 +103,11 @@ class QueryService:
         database: Mapping[str, Iterable[tuple]] | None = None,
         *,
         strategy: str | None = None,
-        deletion: str = "dred",
         cache_capacity: int = 512,
         containment_probes: int = 8,
     ):
         self._strategy = strategy
-        self._engine = IncrementalEvaluation(
-            program, database, strategy=strategy, deletion=deletion
-        )
+        self._engine = IncrementalEvaluation(program, database, strategy=strategy)
         self.cache = ResultCache(
             capacity=cache_capacity,
             containment_probes=containment_probes,

@@ -1,8 +1,8 @@
 """The incremental-maintenance differential wall: after *any* interleaved
 stream of insert/delete batches, the maintained fixpoint equals
 ``evaluate_seminaive`` recomputed from scratch on the final EDB — for DRed
-on recursive programs, counting on non-recursive ones, and batches that
-kill and rederive facts through alternative supports.  After every batch
+on recursive and non-recursive programs, and batches that kill and
+rederive facts through alternative supports.  After every batch
 the report is the exact net change of every value, and every pooled index
 and distinct-value counter equals one rebuilt from the current rows."""
 
@@ -18,11 +18,11 @@ from repro.datalog.library import (
     transitive_closure_program,
 )
 from repro.datalog.parser import parse_program
-from repro.errors import DomainError, VocabularyError
+from repro.errors import VocabularyError
 
 TC = transitive_closure_program()
 
-#: A non-recursive program (two-hop + marker join) for the counting mode.
+#: A non-recursive program (two-hop + marker join) over two EDB predicates.
 NONREC = parse_program(
     """
     H(X, Z) :- E(X, Y), E(Y, Z).
@@ -116,7 +116,7 @@ def apply_checked(inc, inserts, deletes):
 @pytest.mark.parametrize("seed", range(100))
 def test_dred_matches_from_scratch_on_transitive_closure(seed):
     rng = random.Random(seed)
-    inc = IncrementalEvaluation(TC, {}, deletion="dred")
+    inc = IncrementalEvaluation(TC, {})
     batches, state = random_stream(
         rng, nodes=7, n_batches=6, noise=random.Random(f"no-ops {seed}")
     )
@@ -128,9 +128,9 @@ def test_dred_matches_from_scratch_on_transitive_closure(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_counting_matches_from_scratch_on_nonrecursive(seed):
+def test_dred_matches_from_scratch_on_nonrecursive(seed):
     rng = random.Random(1000 + seed)
-    inc = IncrementalEvaluation(NONREC, {}, deletion="counting")
+    inc = IncrementalEvaluation(NONREC, {})
     batches, state = random_stream(
         rng, nodes=6, n_batches=5, predicates=("E",), noise=random.Random(f"no-ops {seed}")
     )
@@ -150,7 +150,7 @@ def test_dred_matches_from_scratch_on_odd_walks(seed):
     longer joins, exercising multi-delta rules under deletion."""
     program = non_two_colorability_program()
     rng = random.Random(2000 + seed)
-    inc = IncrementalEvaluation(program, {}, deletion="dred")
+    inc = IncrementalEvaluation(program, {})
     batches, state = random_stream(
         rng, nodes=5, n_batches=4, noise=random.Random(f"no-ops {seed}")
     )
@@ -164,7 +164,7 @@ def test_kill_and_rederive_through_alternative_support():
     """Deleting one edge of a diamond kills nothing reachable via the other
     path: DRed over-deletes, then rederivation rescues."""
     inc = IncrementalEvaluation(
-        TC, {"E": {(0, 1), (1, 3), (0, 2), (2, 3)}}, deletion="dred"
+        TC, {"E": {(0, 1), (1, 3), (0, 2), (2, 3)}}
     )
     assert (0, 3) in inc.value("T")
     report = inc.apply(deletes={"E": {(1, 3)}})
@@ -211,7 +211,7 @@ def test_structure_domain_follows_the_batches(read_between):
     from repro.relational.structure import Structure, Vocabulary
 
     rng = random.Random(17)
-    inc = IncrementalEvaluation(TC, {}, deletion="dred")
+    inc = IncrementalEvaluation(TC, {})
     batches, _ = random_stream(rng, nodes=7, n_batches=10)
     for inserts, deletes in batches:
         inc.apply(inserts, deletes)
@@ -230,16 +230,6 @@ def test_delete_then_insert_same_fact_in_one_batch_keeps_it():
     assert (1, 2) in inc.value("E")
     assert (1, 2) in inc.value("T")
     assert report.dirty == frozenset()
-
-
-def test_counting_rejects_recursive_programs():
-    with pytest.raises(DomainError):
-        IncrementalEvaluation(TC, {}, deletion="counting")
-
-
-def test_unknown_deletion_mode_rejected():
-    with pytest.raises(DomainError):
-        IncrementalEvaluation(TC, {}, deletion="magic")
 
 
 def test_updates_must_target_edb_predicates():

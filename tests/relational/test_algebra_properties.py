@@ -179,26 +179,6 @@ def test_join_indexed_matches_scan(pair):
 
 @settings(max_examples=120, deadline=None)
 @given(relation_pairs())
-def test_join_interned_matches_scan(pair):
-    """The radix-packed code-space join is observationally identical to the
-    nested-loop scan (and hence to the indexed execution) on every input."""
-    r, s = pair
-    assert natural_join(r, s, execution="interned") == natural_join(
-        r, s, execution="scan"
-    )
-
-
-@settings(max_examples=120, deadline=None)
-@given(relation_pairs())
-def test_semijoin_interned_matches_scan_and_shrinks(pair):
-    r, s = pair
-    interned = semijoin(r, s, execution="interned")
-    assert interned == semijoin(r, s, execution="scan")
-    assert interned.tuples <= r.tuples
-
-
-@settings(max_examples=120, deadline=None)
-@given(relation_pairs())
 def test_join_indexed_commutative_up_to_column_order(pair):
     r, s = pair
     assert normalized(natural_join(r, s, execution="indexed")) == normalized(
@@ -223,7 +203,6 @@ def test_join_all_compound_strategies_agree(r, s, t):
     specs = [
         "greedy+indexed", "greedy+scan", "smallest+scan",
         "textbook+indexed", "textbook+scan", "indexed", "scan",
-        "interned", "greedy+interned", "textbook+interned",
     ]
     forms = {
         normalized(join_all([r, s, t], strategy=spec)) for spec in specs

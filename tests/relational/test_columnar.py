@@ -8,8 +8,8 @@ The laws pinned here:
 * **mask-select == row-select** — :func:`mask_select` computes exactly
   ``algebra.select`` with the conjunction of the per-attribute predicates;
 * **batched probe == per-row probe** — :func:`batched_natural_join` and
-  :func:`batched_semijoin` match the ``indexed``/``interned`` row
-  executions row for row, and :func:`join_all_columnar` matches
+  :func:`batched_semijoin` match the ``indexed`` row execution row for
+  row, and :func:`join_all_columnar` matches
   ``join_all``;
 * **column dedup == sorted distinct projection** — :func:`project_distinct`
   equals ``algebra.project``;
@@ -39,7 +39,6 @@ from repro.relational.columnar import (
     mask_select,
     numpy_backend,
     project_distinct,
-    warm_columns,
 )
 from repro.relational.relation import DENSE_KEY_SPACE_CAP, Relation
 from repro.relational.stats import collect_stats
@@ -156,7 +155,6 @@ def test_mask_select_empty_predicates_is_identity():
 def test_batched_natural_join_matches_row_oracles(pair):
     left, right = pair
     expected = natural_join(left, right, execution="indexed")
-    assert natural_join(left, right, execution="interned") == expected
     assert batched_natural_join(left, right) == expected
 
 
@@ -285,18 +283,6 @@ class TestHonestAccounting:
         assert second.column_builds == 0  # store and index both memoized
         assert second.index_builds == 0
         assert second.batch_probes == first.batch_probes  # probing still counted
-
-    def test_warm_columns_mirrors_warm_index(self):
-        rel = Relation(("a", "b"), [(i, i % 3) for i in range(7)])
-        with collect_stats() as stats:
-            assert warm_columns(rel, ("b",)) is True
-        assert stats.column_builds == 1
-        assert stats.index_builds == 1
-        assert stats.tuples_scanned == 14  # once for the store, once for the index
-        with collect_stats() as again:
-            assert warm_columns(rel, ("b",)) is False
-        assert again.column_builds == 0
-        assert again.index_builds == 0
 
     def test_mask_ops_counted_per_row_per_column(self):
         rel = Relation(("a", "b"), [(i, i % 3) for i in range(9)])

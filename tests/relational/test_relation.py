@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ArityError, SchemaError, VocabularyError
 from repro.relational.algebra import rename
+from repro.relational.columnar import column_store
 from repro.relational.planner import profile
 from repro.relational.relation import Relation
 
@@ -245,10 +246,12 @@ def test_pickling_a_renamed_relation_drops_the_memo(rows, names):
     view.index_on(names[:1])
     view.code_index_on(names[:1])
     profile(view)
+    column_store(view)
     restored = pickle.loads(pickle.dumps(view))
     assert restored == view
     assert not restored.has_index(names[:1])
     assert not restored.has_code_index(names[:1])
+    assert not restored.has_column_store()
     assert restored.row_memo is not view.row_memo
     assert restored.row_memo.distinct is None
     assert r.has_index(("x",))  # the original keeps what it shares

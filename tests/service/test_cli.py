@@ -121,7 +121,7 @@ def test_serve_answers_valid_json_it_cannot_handle_and_keeps_serving():
 
 def test_serve_loads_a_program_file(tmp_path):
     """``--program`` reads the file itself: no goal flag, the maintained
-    IDBs all answer, and counting deletion runs on a non-recursive file."""
+    IDBs all answer, and DRed maintains a non-recursive file."""
     closure = tmp_path / "closure.dl"
     closure.write_text("T(X, Y) :- E(X, Y).\nT(X, Y) :- T(X, Z), E(Z, Y).\n")
     responses = serve_session([
@@ -143,7 +143,7 @@ def test_serve_loads_a_program_file(tmp_path):
         '{"op": "query", "q": "Q(X, Z) :- M(X, Z)."}',
         '{"op": "delete", "predicate": "E", "rows": [[3, 4]]}',
         '{"op": "query", "q": "Q(X, Z) :- H(X, Z)."}',
-    ], program=str(two_hop), deletion="counting")
+    ], program=str(two_hop))
     assert all(r["ok"] for r in responses)
     assert responses[2]["rows"] == [[2, 4]]
     assert responses[3]["dirty"] == ["E", "H", "M"]

@@ -38,7 +38,7 @@ from repro.service.core import QueryService
 
 NODES = 6
 
-#: A non-recursive program, so both deletion modes apply.
+#: A non-recursive program over two EDB predicates.
 NONREC = parse_program(
     """
     H(X, Z) :- E(X, Y), E(Y, Z).
@@ -126,7 +126,6 @@ class CoherenceMachine(RuleBasedStateMachine):
     """One service, a mirror of its EDB, and the queries asked so far."""
 
     program = transitive_closure_program()
-    deletion = "dred"
     templates = TC_TEMPLATES
     #: EDB predicate -> row strategy.
     edb = {"E": rows2}
@@ -144,9 +143,7 @@ class CoherenceMachine(RuleBasedStateMachine):
             for p, rows in self.edb.items()
         }
         self.service = QueryService(
-            self.program,
-            {p: set(rows) for p, rows in self.state.items()},
-            deletion=self.deletion,
+            self.program, {p: set(rows) for p, rows in self.state.items()}
         )
 
     def check_answer(self, query: ConjunctiveQuery) -> None:
@@ -222,15 +219,9 @@ class NonRecursiveDRed(CoherenceMachine):
     edb = {"E": rows2, "L": rows1}
 
 
-class NonRecursiveCounting(NonRecursiveDRed):
-    deletion = "counting"
-
-
 WALL = settings(max_examples=25, stateful_step_count=20, deadline=None)
 
 TestDRedTransitiveClosure = CoherenceMachine.TestCase
 TestDRedTransitiveClosure.settings = WALL
 TestDRedNonRecursive = NonRecursiveDRed.TestCase
 TestDRedNonRecursive.settings = WALL
-TestCountingNonRecursive = NonRecursiveCounting.TestCase
-TestCountingNonRecursive.settings = WALL

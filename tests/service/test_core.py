@@ -8,7 +8,7 @@ import pytest
 from repro.cq.evaluate import evaluate
 from repro.cq.parser import parse_query
 from repro.datalog.library import transitive_closure_program
-from repro.errors import DomainError, VocabularyError
+from repro.errors import VocabularyError
 from repro.relational.stats import collect_stats
 from repro.service.core import QueryService
 
@@ -102,10 +102,8 @@ def test_query_over_edb_and_idb_predicates():
 
 
 def test_constructor_validation_propagates():
-    with pytest.raises(DomainError):
-        make_service(deletion="counting")  # TC is recursive
-    with pytest.raises(DomainError):
-        make_service(deletion="nonsense")
+    with pytest.raises(VocabularyError):
+        QueryService(transitive_closure_program(), {"E": {(1, 2, 3)}})  # E is binary
 
 
 def test_update_validation_propagates():

@@ -4,8 +4,8 @@ the answer uncached evaluation gives on the new state.
 
 Hypothesis draws random conjunctive queries — constants, repeated body
 and head variables, Boolean heads, self-joins, a predicate in several
-atoms — over the transitive-closure program (DRed) and the coherence
-wall's non-recursive program (DRed and counting).  Each example asks a
+atoms — over the transitive-closure program and the coherence wall's
+non-recursive program, both maintained by DRed.  Each example asks a
 query, applies one mixed insert/delete batch (no-ops included) and asks
 the query again.  The fixed cases pin the one-generation semantics: what
 a second batch drops, what an untouched entry keeps, which tiers refresh,
@@ -34,7 +34,7 @@ from repro.service.core import QueryService
 
 NODES = 5
 
-#: The coherence wall's non-recursive program: both deletion modes apply.
+#: The coherence wall's non-recursive program.
 NONREC = parse_program(
     """
     H(X, Z) :- E(X, Y), E(Y, Z).
@@ -43,11 +43,10 @@ NONREC = parse_program(
     goal="M",
 )
 
-#: (program, deletion mode, EDB predicate -> arity)
+#: (program, EDB predicate -> arity)
 SETUPS = {
-    "tc-dred": (transitive_closure_program(), "dred", {"E": 2}),
-    "nonrec-dred": (NONREC, "dred", {"E": 2, "L": 1}),
-    "nonrec-counting": (NONREC, "counting", {"E": 2, "L": 1}),
+    "tc-dred": (transitive_closure_program(), {"E": 2}),
+    "nonrec-dred": (NONREC, {"E": 2, "L": 1}),
 }
 
 VARIABLES = [Var(f"V{i}") for i in range(4)]
@@ -96,10 +95,10 @@ def batches(draw, state: dict[str, set], edb: dict[str, int]) -> tuple[dict, dic
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_a_refreshed_answer_is_the_answer_on_the_new_state(setup, data):
-    program, deletion, edb = SETUPS[setup]
+    program, edb = SETUPS[setup]
     query = data.draw(queries(program.arities()), label="query")
     state = data.draw(states(edb), label="state")
-    service = QueryService(program, state, deletion=deletion)
+    service = QueryService(program, state)
     assert service.ask(query).outcome == "miss"
 
     inserts, deletes = data.draw(batches(state, edb), label="batch")

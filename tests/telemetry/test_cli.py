@@ -64,31 +64,22 @@ def test_stats_json_carries_the_metricset_tag(capsys):
     assert payload["greedy"]["joins"] > 0
 
 
-def test_stats_workers_appends_per_worker_breakdown(capsys):
-    cli.main(
-        ["stats", "--workload", "e1", "--strategies", "parallel",
-         "--workers", "2"]
-    )
-    out = capsys.readouterr().out
-    assert "per-worker breakdown (2 workers" in out
-    # One row per pid with a positive task count.
-    rows = [l for l in out.splitlines() if l.split("|")[0].strip().isdigit()]
-    assert rows and all(int(r.split("|")[1]) > 0 for r in rows)
-
-
-def test_profile_search_workers_shows_steal_accounting(capsys):
-    cli.main(["profile", "--workload", "search", "--workers", "2"])
-    out = capsys.readouterr().out
-    assert "work-stealing parallel MAC search" in out
-    assert "search.steals" in out
-    assert "per-worker breakdown (2 workers" in out
-
-
-def test_profile_join_workers_routes_to_parallel_execution(capsys):
-    cli.main(["profile", "--workload", "join", "--workers", "2"])
-    out = capsys.readouterr().out
-    assert "hash-sharded joins across 2 workers" in out
-    assert "per-worker breakdown" in out
+@pytest.mark.parametrize(
+    "workload, strategies, accepted",
+    [
+        ("e1", ["residual"], "greedy smallest textbook indexed scan wcoj columnar"),
+        ("propagation", ["greedy"], "residual naive interned columnar"),
+    ],
+)
+def test_stats_rejects_strategies_the_workload_does_not_run(
+    workload, strategies, accepted, capsys
+):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stats", "--workload", workload, "--strategies", *strategies])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--workload {workload} does not run {strategies[0]}" in err
+    assert f"it accepts --strategies {accepted}" in err
 
 
 def test_propagation_stats_json_carries_the_metricset_tag(capsys):

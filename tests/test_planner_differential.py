@@ -30,8 +30,8 @@ CQ_SEEDS = range(60)
 CSP_SEEDS = range(27)
 
 # Every spec the planner accepts: bare orders, bare executions, and the
-# compound order+execution forms.  EXECUTIONS includes "interned", so the
-# code-space fast path rides the whole matrix automatically.
+# compound order+execution forms.  EXECUTIONS includes "wcoj" and
+# "columnar", so the code-space paths ride the whole matrix automatically.
 ALL_SPECS = (
     list(STRATEGIES)
     + list(EXECUTIONS)
