@@ -5,14 +5,14 @@
   the paper's claim predicts versus what the code computes.
 * ``python -m repro stats`` — run a join workload under every join order
   and execution and print the :class:`~repro.relational.stats.EvalStats`
-  counters side by side (tuples scanned, hash probes, intermediate
-  cardinalities, interning tables, mask operations, wall time).
-  ``--workload propagation`` instead runs the §4/§5 fixpoint engines
-  (AC, SAC, the pebble game) under every propagation strategy and prints
-  :class:`~repro.consistency.propagation.PropagationStats` counters
-  (revisions, support checks, residual hits, trail restores, wipeouts,
-  intern tables, bitset words, mask ops).  With ``--json`` both report the
-  canonical :func:`repro.telemetry.payload` shape.
+  counters side by side, one column per counter that some strategy
+  charged (tuples scanned, hash probes, intermediate cardinalities,
+  interning tables, mask operations, wall time, …).  ``--workload
+  propagation`` instead runs the §4/§5 fixpoint engines (AC, SAC, the
+  pebble game) under every propagation strategy and prints
+  :class:`~repro.consistency.propagation.PropagationStats` counters the
+  same way.  With ``--json`` both report the canonical
+  :func:`repro.telemetry.payload` shape.
 * ``python -m repro profile --workload {triangle,join,datalog,propagation,
   search}`` — run one workload under the span tracer and print the
   EXPLAIN-ANALYZE-style profile (per-operator durations, cardinalities,
@@ -95,17 +95,17 @@ def tour() -> None:
 
 
 def _stats_workload(name: str, seed: int):
-    """Build the named workload: a list of ``(label, run(strategy))`` pairs
-    where ``run`` evaluates one join-shaped problem under a strategy."""
+    """Build the named workload: the metric-set class it charges and a list
+    of ``run(strategy)`` callables, each evaluating one problem under a
+    strategy."""
+    if name == "propagation":
+        return _propagation_workload(seed)
     from repro.csp.solvers import join
     from repro.cq.evaluate import evaluate
     from repro.generators.csp_random import coloring_instance, random_binary_csp
-    from repro.generators.graphs import (
-        cycle_graph,
-        graph_as_digraph_structure,
-        random_digraph,
-    )
+    from repro.generators.graphs import cycle_graph, random_digraph
     from repro.generators.queries import chain_query, random_query
+    from repro.relational.stats import EvalStats
 
     if name == "e1":
         instances = [
@@ -116,35 +116,30 @@ def _stats_workload(name: str, seed: int):
             for t in (0.2, 0.4, 0.6)
             for s in range(3)
         ]
-        return [
-            (f"e1[{i}]", lambda strategy, inst=inst: join.is_solvable(inst, strategy))
-            for i, inst in enumerate(instances)
-        ]
-    if name == "coloring":
+    elif name == "coloring":
         instances = [
             coloring_instance(cycle_graph(9), 3),
             coloring_instance(cycle_graph(9), 2),
         ]
-        return [
-            (f"coloring[{i}]", lambda strategy, inst=inst: join.is_solvable(inst, strategy))
-            for i, inst in enumerate(instances)
-        ]
-    if name == "chain":
+    else:
         db = random_digraph(12, 0.3, seed=seed)
         queries = [chain_query(6)] + [
             random_query(5, 4, seed=seed + s) for s in range(3)
         ]
-        return [
-            (f"chain[{i}]", lambda strategy, q=q: evaluate(q, db, strategy))
-            for i, q in enumerate(queries)
+        return EvalStats, [
+            lambda strategy, q=q: evaluate(q, db, strategy) for q in queries
         ]
-    raise SystemExit(f"unknown workload {name!r}")
+    return EvalStats, [
+        lambda strategy, inst=inst: join.is_solvable(inst, strategy)
+        for inst in instances
+    ]
 
 
 def _propagation_workload(seed: int):
     """The propagation workload: AC/SAC over 2-SAT, Horn, and coloring
     instances plus one pebble-game solve, each parameterized by strategy."""
     from repro.consistency.arc import ac3, singleton_arc_consistency
+    from repro.consistency.propagation import PropagationStats
     from repro.csp.convert import csp_to_homomorphism
     from repro.dichotomy.cnf import cnf_to_csp
     from repro.games.pebble import solve_game
@@ -159,105 +154,63 @@ def _propagation_workload(seed: int):
         ],
         "color": [coloring_instance(cycle_graph(9), c) for c in (2, 3)],
     }
-    jobs = []
-    for family, instances in families.items():
-        for i, inst in enumerate(instances):
-            jobs.append(
-                (f"{family}-ac[{i}]",
-                 lambda strategy, inst=inst: ac3(inst, strategy=strategy))
-            )
-            jobs.append(
-                (f"{family}-sac[{i}]",
-                 lambda strategy, inst=inst: singleton_arc_consistency(
-                     inst, strategy=strategy))
+    runs = []
+    for instances in families.values():
+        for inst in instances:
+            runs.append(lambda strategy, inst=inst: ac3(inst, strategy=strategy))
+            runs.append(
+                lambda strategy, inst=inst: singleton_arc_consistency(
+                    inst, strategy=strategy)
             )
     a, b = csp_to_homomorphism(families["color"][0])
-    jobs.append(
-        ("pebble-k2", lambda strategy: solve_game(a, b, 2, strategy=strategy))
-    )
-    return jobs
-
-
-def propagation_stats_command(args: argparse.Namespace) -> None:
-    """Run the propagation workload once per strategy; report the counters."""
-    import time
-
-    from repro.consistency.propagation import PropagationStats, collect_propagation
-
-    workload = _propagation_workload(args.seed)
-    per_strategy: dict[str, tuple[PropagationStats, float]] = {}
-    for strategy in args.strategies:
-        total = PropagationStats()
-        start = time.perf_counter()
-        for _label, run in workload:
-            with collect_propagation() as stats:
-                run(strategy)
-            total.merge(stats)
-        per_strategy[strategy] = (total, time.perf_counter() - start)
-
-    if args.json:
-        from repro.telemetry import payload
-
-        print(json.dumps(
-            {s: dict(payload(st), seconds=sec)
-             for s, (st, sec) in per_strategy.items()},
-            indent=2,
-        ))
-        return
-
-    print(f"workload: propagation  ({len(workload)} runs, seed {args.seed})")
-    header = (
-        "strategy", "revisions", "checks", "hits", "hit-rate",
-        "restores", "wipeouts", "itabs", "words", "mask-ops", "seconds",
-    )
-    print(" | ".join(str(c).ljust(10) for c in header))
-    for strategy, (st, sec) in per_strategy.items():
-        row = (
-            strategy, st.revisions, st.support_checks, st.support_hits,
-            f"{st.hit_rate:.0%}", st.trail_restores, st.wipeouts,
-            st.intern_tables, st.bitset_words, st.mask_ops, f"{sec:.4f}",
-        )
-        print(" | ".join(str(c).ljust(10) for c in row))
+    runs.append(lambda strategy: solve_game(a, b, 2, strategy=strategy))
+    return PropagationStats, runs
 
 
 def stats_command(args: argparse.Namespace) -> None:
-    """Run the workload once per strategy and report the counters."""
-    from repro.relational.stats import EvalStats, collect_stats
+    """Run the workload once per strategy and report its metric set: the
+    :func:`repro.telemetry.payload` per strategy with ``--json``, else a
+    table with a column for each number that is non-zero in some row."""
+    import time
 
-    workload = _stats_workload(args.workload, args.seed)
-    per_strategy: dict[str, EvalStats] = {}
+    from repro.telemetry import payload
+
+    cls, runs = _stats_workload(args.workload, args.seed)
+    rows: dict[str, dict] = {}
     for strategy in args.strategies:
-        total = EvalStats()
-        for _label, run in workload:
-            with collect_stats() as stats:
+        start = time.perf_counter()
+        with cls.collect() as stats:
+            for run in runs:
                 run(strategy)
-            total.merge(stats)
-        per_strategy[strategy] = total
+        rows[strategy] = payload(stats)
+        if args.workload == "propagation":
+            # PropagationStats keeps no clock of its own (EvalStats times
+            # every operator), so its rows carry the runs' wall time.
+            rows[strategy]["seconds"] = time.perf_counter() - start
 
     if args.json:
-        from repro.telemetry import payload
-
-        print(json.dumps({s: payload(st) for s, st in per_strategy.items()}, indent=2))
+        print(json.dumps(rows, indent=2))
         return
 
-    print(f"workload: {args.workload}  ({len(workload)} queries, seed {args.seed})")
-    header = (
-        "strategy", "joins", "scanned", "probes", "ix-built", "ix-hits",
-        "misses", "max-inter", "total-inter", "itabs", "mask-ops",
-        "tries", "seeks", "lf-rounds", "col-built", "b-probes", "seconds",
-    )
-    print(" | ".join(str(c).ljust(11) for c in header))
-    for strategy, st in per_strategy.items():
-        row = (
-            strategy, st.joins, st.tuples_scanned, st.hash_probes,
-            st.index_builds, st.index_hits, st.probe_misses,
-            st.max_intermediate, st.total_intermediate,
-            st.intern_tables, st.mask_ops,
-            st.trie_builds, st.seeks, st.leapfrog_rounds,
-            st.column_builds, st.batch_probes,
-            f"{st.wall_seconds:.4f}",
-        )
-        print(" | ".join(str(c).ljust(11) for c in row))
+    first = next(iter(rows.values()))
+    columns = [
+        key
+        for key, value in first.items()
+        if isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and any(row[key] for row in rows.values())
+    ]
+    table = [["strategy"] + [key.replace("_", "-") for key in columns]]
+    for strategy, row in rows.items():
+        table.append([strategy] + [
+            f"{row[key]:.4f}" if isinstance(row[key], float) else str(row[key])
+            for key in columns
+        ])
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    print(f"workload: {args.workload}  ({len(runs)} runs, seed {args.seed})")
+    for line in table:
+        cells = (cell.ljust(width) for cell, width in zip(line, widths))
+        print(" | ".join(cells).rstrip())
 
 
 def _profile_workload(name: str, seed: int):
@@ -453,9 +406,7 @@ def main(argv: list[str] | None = None) -> None:
             )
         args.strategies = list(dict.fromkeys(args.strategies))
 
-    if args.command == "stats" and args.workload == "propagation":
-        propagation_stats_command(args)
-    elif args.command == "stats":
+    if args.command == "stats":
         stats_command(args)
     elif args.command == "profile":
         profile_command(args)

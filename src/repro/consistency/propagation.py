@@ -42,15 +42,13 @@ over the rows and revise binary arcs inline in that loop.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Collection, Container, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Sequence
 
 from repro.csp.instance import Constraint, CSPInstance
 from repro.relational.interning import Codec, bit_positions
 from repro.relational.relation import Relation
-from repro.telemetry.registry import counter_delta, snapshot
+from repro.telemetry.registry import MetricSet, derived
 from repro.telemetry.spans import span
 
 __all__ = [
@@ -100,7 +98,7 @@ def check_propagation_strategy(strategy: str) -> str:
 
 
 @dataclass
-class PropagationStats:
+class PropagationStats(MetricSet, kind="propagation"):
     """Mutable accumulator of propagation counters (monotone, like EvalStats).
 
     Attributes
@@ -120,6 +118,8 @@ class PropagationStats:
     wipeouts:
         Domain (or pair-relation) wipeouts observed — each one is a proof
         of unsatisfiability of the probed instance.
+    hit_rate:
+        Fraction of support checks answered by a stored residual support.
     intern_tables:
         Value ↔ dense-int codec tables built by interned engines.
     bitset_words:
@@ -135,105 +135,26 @@ class PropagationStats:
     support_hits: int = 0
     trail_restores: int = 0
     wipeouts: int = 0
-    intern_tables: int = 0
-    bitset_words: int = 0
-    mask_ops: int = 0
 
-    def merge(self, other: "PropagationStats") -> "PropagationStats":
-        """Fold ``other``'s counters into this object (in place); return it."""
-        self.revisions += other.revisions
-        self.support_checks += other.support_checks
-        self.support_hits += other.support_hits
-        self.trail_restores += other.trail_restores
-        self.wipeouts += other.wipeouts
-        self.intern_tables += other.intern_tables
-        self.bitset_words += other.bitset_words
-        self.mask_ops += other.mask_ops
-        return self
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.revisions = 0
-        self.support_checks = 0
-        self.support_hits = 0
-        self.trail_restores = 0
-        self.wipeouts = 0
-        self.intern_tables = 0
-        self.bitset_words = 0
-        self.mask_ops = 0
-
-    @property
+    @derived
     def hit_rate(self) -> float:
         """Fraction of support checks answered by a stored residual support."""
         return self.support_hits / self.support_checks if self.support_checks else 0.0
 
-    def as_dict(self) -> dict:
-        """A plain-dict snapshot (for ``--json`` output and EXPERIMENTS tables)."""
-        return {
-            "revisions": self.revisions,
-            "support_checks": self.support_checks,
-            "support_hits": self.support_hits,
-            "trail_restores": self.trail_restores,
-            "wipeouts": self.wipeouts,
-            "hit_rate": self.hit_rate,
-            "intern_tables": self.intern_tables,
-            "bitset_words": self.bitset_words,
-            "mask_ops": self.mask_ops,
-        }
-
-    def summary(self) -> str:
-        """A short human-readable report."""
-        return "\n".join(
-            [
-                f"revisions       {self.revisions}",
-                f"support checks  {self.support_checks}",
-                f"support hits    {self.support_hits} ({self.hit_rate:.0%})",
-                f"trail restores  {self.trail_restores}",
-                f"wipeouts        {self.wipeouts}",
-                f"intern tables   {self.intern_tables}",
-                f"bitset words    {self.bitset_words}",
-                f"mask ops        {self.mask_ops}",
-            ]
-        )
+    intern_tables: int = 0
+    bitset_words: int = 0
+    mask_ops: int = 0
 
 
-# Like EvalStats: a ContextVar rather than a module global, so concurrent
-# traces (threads, asyncio tasks, nested blocks) never share counters.
-_ACTIVE: ContextVar[PropagationStats | None] = ContextVar(
-    "repro_propagation_stats", default=None
-)
+#: The innermost active :func:`collect_propagation` stats object, if any.
+current_propagation = PropagationStats.current
 
-
-def current_propagation() -> PropagationStats | None:
-    """The innermost active :func:`collect_propagation` stats object, if any."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def collect_propagation(
-    stats: PropagationStats | None = None,
-) -> Iterator[PropagationStats]:
-    """Collect propagation statistics for the duration of the ``with`` block.
-
-    Every propagation engine (AC/SAC/PC strategies, the pebble-game
-    pruning, MAC search) merges its per-run counters into the innermost
-    active block on completion.  Nested blocks shadow outer ones.
-
-    >>> from repro.consistency.arc import ac3
-    >>> from repro.csp.instance import Constraint, CSPInstance
-    >>> inst = CSPInstance(["x", "y"], [0, 1], [Constraint(("x", "y"), {(0, 1)})])
-    >>> with collect_propagation() as stats:
-    ...     _ = ac3(inst)
-    >>> stats.revisions > 0
-    True
-    """
-    if stats is None:
-        stats = PropagationStats()
-    token = _ACTIVE.set(stats)
-    try:
-        yield stats
-    finally:
-        _ACTIVE.reset(token)
+#: Collect propagation statistics for the duration of a ``with`` block.
+#: Every propagation engine (AC/SAC/PC strategies, the pebble-game
+#: pruning, MAC search) merges its per-run counters into the innermost
+#: active block on completion (:func:`publish`); nested blocks shadow
+#: outer ones.
+collect_propagation = PropagationStats.collect
 
 
 def publish(stats: PropagationStats) -> PropagationStats:
@@ -243,7 +164,7 @@ def publish(stats: PropagationStats) -> PropagationStats:
     many probes, a whole search) reports the merged counters of its parts.
     Returns ``stats`` unchanged for chaining.
     """
-    active = _ACTIVE.get()
+    active = current_propagation()
     if active is not None and active is not stats:
         active.merge(stats)
     return stats
@@ -466,9 +387,9 @@ class PropagationEngine:
         # ``stats`` is a function argument, not the ContextVar-installed
         # object, so the span cannot capture its delta automatically.
         with sp:
-            before = snapshot(stats)
+            before = stats.snapshot()
             ok = self._propagate(domains, changed, stats, trail, skip)
-            sp.add_counters("propagation", counter_delta(stats, before))
+            sp.add_counters("propagation", stats.counter_delta(before))
             sp.note(consistent=ok)
             return ok
 

@@ -64,7 +64,7 @@ from repro.consistency.propagation import (
     publish,
 )
 from repro.csp.instance import Constraint, CSPInstance
-from repro.telemetry.registry import counter_delta, snapshot
+from repro.telemetry.registry import MetricSet, derived
 from repro.telemetry.spans import span
 
 __all__ = [
@@ -85,59 +85,29 @@ class Inference(enum.Enum):
 
 
 @dataclass
-class SearchStats:
+class SearchStats(MetricSet, kind="search"):
     """Counters accumulated during one search run.
 
     ``propagation`` aggregates the inference layer's
     :class:`~repro.consistency.propagation.PropagationStats` across the whole
-    search (root pass plus every node), for both strategies.
+    search (root pass plus every node), for both strategies; it travels as
+    its own ``"propagation"`` metric set in span counter blocks.
+    ``solution`` is the result, not a counter: merging keeps it if present,
+    else adopts the other's — so merged stats report total work plus *a*
+    witness.
     """
 
     nodes: int = 0
     backtracks: int = 0
     prunings: int = 0
+
+    @derived
+    def solved(self) -> bool:
+        """Whether the search found a solution."""
+        return self.solution is not None
+
     propagation: PropagationStats = field(default_factory=PropagationStats)
     solution: dict[Any, Any] | None = field(default=None, repr=False)
-
-    # Not mergeable counters: the telemetry registry must skip them when
-    # snapshotting/diffing (the nested PropagationStats travels as its own
-    # "propagation" metricset; the solution is a result, not a counter).
-    _NON_COUNTER_FIELDS = ("propagation", "solution")
-
-    def merge(self, other: "SearchStats") -> "SearchStats":
-        """Fold ``other``'s counters into this object (in place); return it.
-
-        Counters add and the nested propagation stats merge; the solution
-        is kept if present, else adopted from ``other`` — so merging the
-        stats of several runs reports total work plus *a* witness.
-        """
-        self.nodes += other.nodes
-        self.backtracks += other.backtracks
-        self.prunings += other.prunings
-        self.propagation.merge(other.propagation)
-        if self.solution is None:
-            self.solution = other.solution
-        return self
-
-    def reset(self) -> None:
-        """Zero every counter and drop the solution."""
-        self.nodes = 0
-        self.backtracks = 0
-        self.prunings = 0
-        self.propagation.reset()
-        self.solution = None
-
-    def as_dict(self) -> dict:
-        """A plain-dict snapshot (for ``--json`` output and the telemetry
-        registry); the nested propagation counters appear under
-        ``"propagation"``."""
-        return {
-            "nodes": self.nodes,
-            "backtracks": self.backtracks,
-            "prunings": self.prunings,
-            "solved": self.solution is not None,
-            "propagation": self.propagation.as_dict(),
-        }
 
 
 def _revise(
@@ -282,8 +252,8 @@ def solve_with_stats(
         if sp:
             # SearchStats is never the ContextVar-installed object, so the
             # span carries its counters explicitly.
-            sp.add_counters("search", counter_delta(stats, snapshot(SearchStats())))
-            sp.note(nodes=stats.nodes, solved=stats.solution is not None)
+            sp.add_counters("search", stats.counter_delta({}))
+            sp.note(nodes=stats.nodes, solved=stats.solved)
         return stats
 
 
@@ -344,14 +314,14 @@ def _search_with_stats(
 
     def open_batch() -> None:
         batch[0] = span("search.batch", first_node=stats.nodes)
-        batch[1] = snapshot(stats)
+        batch[1] = stats.snapshot()
 
     def close_batch() -> None:
         bsp = batch[0]
         batch[0] = None
         if not bsp:
             return
-        bsp.add_counters("search", counter_delta(stats, batch[1]))
+        bsp.add_counters("search", stats.counter_delta(batch[1]))
         bsp.note(nodes=stats.nodes - bsp.attributes["first_node"])
         bsp.close()
 

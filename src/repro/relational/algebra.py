@@ -96,8 +96,8 @@ def project(relation: Relation, attributes: Sequence[str]) -> Relation:
             copied = result is not relation
             stats.record(
                 "project",
-                scanned=len(relation) if copied else 0,
-                emitted=len(result) if copied else 0,
+                tuples_scanned=len(relation) if copied else 0,
+                tuples_emitted=len(result) if copied else 0,
                 seconds=perf_counter() - start,
             )
         if sp:
@@ -157,8 +157,8 @@ def select(relation: Relation, predicate: Callable[[Mapping[str, Any]], bool]) -
     if stats is not None:
         stats.record(
             "select",
-            scanned=len(relation),
-            emitted=len(result),
+            tuples_scanned=len(relation),
+            tuples_emitted=len(result),
             seconds=perf_counter() - start,
         )
     return result
@@ -220,7 +220,7 @@ def warm_index(relation: Relation, attributes: Iterable[str]) -> bool:
     if stats is not None:
         stats.record(
             "index_build",
-            scanned=len(relation),
+            tuples_scanned=len(relation),
             index_builds=1,
             seconds=perf_counter() - start,
         )
@@ -294,8 +294,8 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
         if stats is not None:
             stats.record(
                 "natural_join",
-                scanned=len(left) + len(left) * len(right),
-                emitted=len(result),
+                tuples_scanned=len(left) + len(left) * len(right),
+                tuples_emitted=len(result),
                 seconds=perf_counter() - start,
                 intermediate=len(result),
             )
@@ -327,12 +327,12 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
     if stats is not None:
         stats.record(
             "natural_join",
-            scanned=len(probe) + (len(build) if built else 0),
-            probes=len(probe),
+            tuples_scanned=len(probe) + (len(build) if built else 0),
+            hash_probes=len(probe),
             index_builds=1 if built else 0,
             index_hits=hits,
             probe_misses=misses,
-            emitted=len(result),
+            tuples_emitted=len(result),
             seconds=perf_counter() - start,
             intermediate=len(result),
         )
@@ -524,8 +524,8 @@ def _project_seed(
         copied = result is not first
         stats.record(
             "natural_join",
-            scanned=len(first) if copied else 0,
-            emitted=len(result) if copied else 0,
+            tuples_scanned=len(first) if copied else 0,
+            tuples_emitted=len(result) if copied else 0,
             seconds=perf_counter() - start,
             intermediate=len(result),
         )
@@ -631,12 +631,12 @@ def _probe_step(
         hits = sum(map(index.__contains__, _take(rows, key_positions)))
         stats.record(
             "natural_join",
-            scanned=len(rows) + (len(build) if built else 0),
-            probes=len(rows),
+            tuples_scanned=len(rows) + (len(build) if built else 0),
+            hash_probes=len(rows),
             index_builds=1 if built else 0,
             index_hits=hits,
             probe_misses=len(rows) - hits,
-            emitted=len(result),
+            tuples_emitted=len(result),
             seconds=seconds,
             intermediate=len(result),
         )
@@ -684,8 +684,8 @@ def _join_from_seed(
         if stats is not None:
             stats.record(
                 "project",
-                scanned=len(seed),
-                emitted=len(rows),
+                tuples_scanned=len(seed),
+                tuples_emitted=len(rows),
                 seconds=perf_counter() - start,
             )
     pending = list(relations)
@@ -779,8 +779,8 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
         if stats is not None:
             stats.record(
                 "semijoin",
-                scanned=len(left) + examined,
-                emitted=len(result),
+                tuples_scanned=len(left) + examined,
+                tuples_emitted=len(result),
                 seconds=perf_counter() - start,
             )
         return result
@@ -801,12 +801,12 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
     if stats is not None:
         stats.record(
             "semijoin",
-            scanned=len(left) + (len(right) if built else 0),
-            probes=len(left),
+            tuples_scanned=len(left) + (len(right) if built else 0),
+            hash_probes=len(left),
             index_builds=1 if built else 0,
             index_hits=hits,
             probe_misses=misses,
-            emitted=len(result),
+            tuples_emitted=len(result),
             seconds=perf_counter() - start,
         )
     return result

@@ -197,7 +197,7 @@ def column_store(relation: Relation) -> ColumnStore:
     if stats is not None:
         stats.record(
             "column_build",
-            scanned=len(relation),
+            tuples_scanned=len(relation),
             column_builds=1,
             intern_tables=1,
             seconds=perf_counter() - start,
@@ -253,8 +253,8 @@ def mask_select(
         if stats is not None:
             stats.record(
                 "select",
-                scanned=len(relation),
-                emitted=len(result),
+                tuples_scanned=len(relation),
+                tuples_emitted=len(result),
                 mask_ops=mask_ops,
                 seconds=perf_counter() - start,
             )
@@ -373,13 +373,13 @@ def batched_semijoin(left: Relation, right: Relation) -> Relation:
     if stats is not None:
         stats.record(
             "semijoin",
-            scanned=len(left) + (len(right) if built else 0),
-            probes=store.nrows,
+            tuples_scanned=len(left) + (len(right) if built else 0),
+            hash_probes=store.nrows,
             batch_probes=store.nrows,
             index_builds=1 if built else 0,
             index_hits=hits,
             probe_misses=misses,
-            emitted=len(result),
+            tuples_emitted=len(result),
             intern_tables=1 if built else 0,
             bitset_words=index.words if built else 0,
             mask_ops=mask_ops,
@@ -430,13 +430,13 @@ def batched_natural_join(left: Relation, right: Relation) -> Relation:
     if stats is not None:
         stats.record(
             "natural_join",
-            scanned=len(probe) + (len(build) if built else 0),
-            probes=store.nrows,
+            tuples_scanned=len(probe) + (len(build) if built else 0),
+            hash_probes=store.nrows,
             batch_probes=store.nrows,
             index_builds=1 if built else 0,
             index_hits=hits,
             probe_misses=misses,
-            emitted=len(result),
+            tuples_emitted=len(result),
             intern_tables=1 if built else 0,
             bitset_words=index.words if built else 0,
             mask_ops=mask_ops,
@@ -493,8 +493,8 @@ def project_distinct(relation: Relation, attributes: Sequence[str]) -> Relation:
         if stats is not None:
             stats.record(
                 "project",
-                scanned=len(relation),
-                emitted=len(result),
+                tuples_scanned=len(relation),
+                tuples_emitted=len(result),
                 batch_probes=store.nrows if np is not None else 0,
                 seconds=perf_counter() - start,
             )
@@ -603,12 +603,12 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
         if stats is not None:
             stats.record(
                 "natural_join",
-                scanned=cur_rows + r_nrows,
-                probes=len(probe_p),
+                tuples_scanned=cur_rows + r_nrows,
+                hash_probes=len(probe_p),
                 batch_probes=len(probe_p),
                 index_hits=int((counts > 0).sum()),
                 probe_misses=int((counts == 0).sum()),
-                emitted=total,
+                tuples_emitted=total,
                 seconds=perf_counter() - step_start,
                 intermediate=total,
             )
@@ -641,8 +641,8 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
     if stats is not None:
         stats.record(
             "columnar_decode",
-            scanned=cur_rows,
-            emitted=len(result),
+            tuples_scanned=cur_rows,
+            tuples_emitted=len(result),
             seconds=perf_counter() - decode_start,
         )
     return result

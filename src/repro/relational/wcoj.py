@@ -417,8 +417,8 @@ def _leapfrog_join(
         if stats is not None:
             stats.record(
                 "leapfrog_join",
-                scanned=scanned,
-                emitted=len(result),
+                tuples_scanned=scanned,
+                tuples_emitted=len(result),
                 trie_builds=counters.tries,
                 seeks=counters.seeks,
                 leapfrog_rounds=counters.rounds,
@@ -572,11 +572,11 @@ def _trie_semijoin(left: Relation, right: Relation) -> Relation:
     if stats is not None:
         stats.record(
             "semijoin",
-            scanned=len(left) + len(right),
-            probes=len(left),
+            tuples_scanned=len(left) + len(right),
+            hash_probes=len(left),
             index_hits=hits,
             probe_misses=misses,
-            emitted=len(result),
+            tuples_emitted=len(result),
             trie_builds=counters.tries,
             seeks=counters.seeks,
             intern_tables=1,

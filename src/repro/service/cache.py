@@ -40,52 +40,41 @@ from repro.cq.canonical import canonical_key
 from repro.cq.containment import are_equivalent
 from repro.cq.query import ConjunctiveQuery
 from repro.relational.relation import Relation
+from repro.telemetry.registry import MetricSet, derived
 
 __all__ = ["CacheStats", "ResultCache"]
 
 
 @dataclass
-class CacheStats:
+class CacheStats(MetricSet):
     """Monotone counters of one :class:`ResultCache`'s lifetime."""
 
     exact_hits: int = 0
     equivalence_hits: int = 0
     projection_hits: int = 0
+
+    @derived
+    def hits(self) -> int:
+        """Lookups answered by any tier."""
+        return self.exact_hits + self.equivalence_hits + self.projection_hits
+
     misses: int = 0
+
+    @derived
+    def lookups(self) -> int:
+        """Hits plus misses."""
+        return self.hits + self.misses
+
+    @derived
+    def hit_rate(self) -> float:
+        """Hits over lookups (0.0 before the first lookup)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
     stores: int = 0
     evictions: int = 0
     invalidations: int = 0
     containment_probes: int = 0
     refreshes: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.exact_hits + self.equivalence_hits + self.projection_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "exact_hits": self.exact_hits,
-            "equivalence_hits": self.equivalence_hits,
-            "projection_hits": self.projection_hits,
-            "hits": self.hits,
-            "misses": self.misses,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "containment_probes": self.containment_probes,
-            "refreshes": self.refreshes,
-        }
 
 
 @dataclass

@@ -12,9 +12,11 @@ this package answers "where, when, and how long?".  It has four parts:
   propagation fixpoint, each batch of search nodes) opens a named span
   carrying its wall-clock duration, parent, and the stats deltas charged
   inside it.  Zero-cost when inactive.
-* :mod:`repro.telemetry.registry` — one metricset protocol over the three
-  stats dataclasses (snapshot/delta/rebuild/merge, namespaced metric
-  names) plus log-scale :class:`TimingHistogram` distributions.
+* :mod:`repro.telemetry.registry` — :class:`MetricSet`, the dataclass
+  base whose fields declare each counter once and which derives
+  merge/reset/serialization, snapshot/delta/rebuild, namespaced metric
+  names and the ``ContextVar`` collectors from them, plus log-scale
+  :class:`TimingHistogram` distributions.
 * :mod:`repro.telemetry.profile` — :class:`QueryProfile`, an
   EXPLAIN-ANALYZE-style renderer for finished traces.
 * :mod:`repro.telemetry.jsonl` — span_open/counter/span_close events, one
@@ -46,16 +48,13 @@ from repro.telemetry.jsonl import (
 from repro.telemetry.profile import QueryProfile, format_seconds
 from repro.telemetry.registry import (
     METRICSET_KINDS,
+    MetricSet,
     TimingHistogram,
-    counter_delta,
-    flatten,
-    from_counters,
+    derived,
     kind_of,
     merge_counters,
-    metric_names,
     metricset_class,
     payload,
-    snapshot,
 )
 from repro.telemetry.spans import (
     Span,
@@ -76,15 +75,12 @@ __all__ = [
     "current_span",
     # registry
     "METRICSET_KINDS",
+    "MetricSet",
+    "derived",
     "kind_of",
     "metricset_class",
     "payload",
-    "snapshot",
-    "counter_delta",
-    "from_counters",
     "merge_counters",
-    "metric_names",
-    "flatten",
     "TimingHistogram",
     # profiler
     "QueryProfile",

@@ -209,27 +209,30 @@ def _topmost_counter_events(
 ) -> Iterator[Mapping[str, Any]]:
     """Counter events whose span has no ancestor that also carries the same
     metricset — the double-count-free subset (span counters are inclusive
-    of their descendants)."""
-    events = list(events)
-    parent: dict[int, int | None] = {}
-    carrying: dict[str, set[int]] = {}
+    of their descendants).
+
+    Span ids are unique within one trace, so a ``span_open`` reusing an id
+    starts the next of several concatenated streams: spans are keyed by
+    ``(stream, id)`` and one stream's ancestry never shadows another's.
+    """
+    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
+    counters: list[tuple[tuple[int, int], Mapping[str, Any]]] = []
+    stream, opened = 0, set()
     for event in events:
         if event.get("type") == "span_open":
-            parent[event["id"]] = event.get("parent")
+            if event["id"] in opened:
+                stream, opened = stream + 1, set()
+            opened.add(event["id"])
+            up = event.get("parent")
+            parent[(stream, event["id"])] = None if up is None else (stream, up)
         elif event.get("type") == "counter":
-            carrying.setdefault(event["metricset"], set()).add(event["id"])
-    for event in events:
-        if event.get("type") != "counter":
-            continue
-        kind_spans = carrying[event["metricset"]]
-        ancestor = parent.get(event["id"])
-        shadowed = False
-        while ancestor is not None:
-            if ancestor in kind_spans:
-                shadowed = True
-                break
+            counters.append(((stream, event["id"]), event))
+    carrying = {(key, event["metricset"]) for key, event in counters}
+    for key, event in counters:
+        ancestor = parent.get(key)
+        while ancestor is not None and (ancestor, event["metricset"]) not in carrying:
             ancestor = parent.get(ancestor)
-        if not shadowed:
+        if ancestor is None:
             yield event
 
 
@@ -238,7 +241,7 @@ def reaggregate(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
 
     Returns ``{kind: metricset}`` for every kind that appears.  Each
     metricset is rebuilt with
-    :func:`repro.telemetry.registry.from_counters` and folded with the
+    :meth:`repro.telemetry.registry.MetricSet.from_counters` and folded with the
     dataclass's own ``merge()``; only topmost counter events contribute,
     so the result equals the in-process totals of the traced run — and
     streams from several processes can simply be concatenated first.

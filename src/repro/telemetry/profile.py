@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.registry import flatten
+from repro.telemetry.jsonl import reaggregate, trace_events
 from repro.telemetry.spans import Span, Trace
 
 __all__ = ["QueryProfile", "format_seconds"]
@@ -123,8 +123,8 @@ class QueryProfile:
         """Trace-wide ``{kind: flattened counters}`` for every metricset
         kind any span charged (topmost-span merge, so nothing double
         counts)."""
-        kinds = sorted({k for sp in self.trace.spans for k in sp.counters})
-        return {kind: flatten(self.trace.total_counters(kind)) for kind in kinds}
+        totals = reaggregate(trace_events(self.trace))
+        return {kind: totals[kind].flatten() for kind in sorted(totals)}
 
     # -- text rendering ----------------------------------------------------
 

@@ -31,9 +31,10 @@ Instrumented call sites use the module-level :func:`span` helper::
         if sp:                       # False when tracing is off
             sp.note(emitted=len(result))
 
-Counter attribution: while a span is open, the deltas of the ContextVar-
-active ``EvalStats``/``PropagationStats`` are captured automatically at
-close (inclusive of descendants).  Phases whose stats object is passed
+Counter attribution: while a span is open, the deltas of every metric set
+with an active ``collect`` block (``collect_stats``,
+``collect_propagation``) are captured automatically at close (inclusive
+of descendants).  Phases whose stats object is passed
 explicitly rather than installed in the ContextVar (propagation fixpoints,
 search batches) attach their deltas with :meth:`Span.add_counters`, which
 takes precedence over the automatic capture for that metricset.  The JSONL
@@ -47,9 +48,9 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from repro.telemetry.registry import TimingHistogram, counter_delta, snapshot
+from repro.telemetry.registry import TimingHistogram, active_metricsets
 
 __all__ = [
     "Span",
@@ -59,22 +60,6 @@ __all__ = [
     "current_trace",
     "current_span",
 ]
-
-# Lazily bound accessors for the two ContextVar-scoped stats layers: the
-# modules that define them are themselves instrumented with spans, so this
-# module must be importable before either of them.
-_stats_accessors: tuple[Callable[[], Any], Callable[[], Any]] | None = None
-
-
-def _active_stats() -> tuple[Any, Any]:
-    global _stats_accessors
-    if _stats_accessors is None:
-        from repro.consistency.propagation import current_propagation
-        from repro.relational.stats import current_stats
-
-        _stats_accessors = (current_stats, current_propagation)
-    return _stats_accessors[0](), _stats_accessors[1]()
-
 
 class _NullSpan:
     """The do-nothing span returned when no trace is active.
@@ -246,11 +231,8 @@ class Trace:
             parent.children.append(sp)
         else:
             self.roots.append(sp)
-        eval_stats, prop_stats = _active_stats()
-        if eval_stats is not None:
-            sp._snaps["eval"] = snapshot(eval_stats)
-        if prop_stats is not None:
-            sp._snaps["propagation"] = snapshot(prop_stats)
+        for kind, stats in active_metricsets():
+            sp._snaps[kind] = stats.snapshot()
         self._stack.append(sp)
         self.events.append(("open", sp))
         sp.t0 = perf_counter() - self._t0
@@ -268,14 +250,11 @@ class Trace:
                 f"(innermost open span: {open_name!r})"
             )
         self._stack.pop()
-        eval_stats, prop_stats = _active_stats()
-        for kind, stats in (("eval", eval_stats), ("propagation", prop_stats)):
-            if stats is None or kind in sp._explicit:
-                continue
+        for kind, stats in active_metricsets():
             before = sp._snaps.get(kind)
-            if before is None:
+            if before is None or kind in sp._explicit:
                 continue
-            delta = counter_delta(stats, before)
+            delta = stats.counter_delta(before)
             if delta:
                 sp.counters[kind] = delta
         hist = self.histograms.get(sp.name)
@@ -296,28 +275,16 @@ class Trace:
         return [s for s in self.spans if s.name == name]
 
     def total_counters(self, kind: str) -> Any:
-        """The trace-wide totals for one metricset kind, merged from the
-        *topmost* spans that carry it (inclusive deltas never double
-        count).  Returns a fresh metricset instance.
+        """The trace-wide totals for one metricset kind: what the trace's
+        JSONL export reaggregates to (each kind counted at its *topmost*
+        carrying spans, so inclusive deltas never double count).  Returns a
+        fresh metricset instance.
         """
-        from repro.telemetry.registry import merge_counters
+        from repro.telemetry.jsonl import reaggregate, trace_events
+        from repro.telemetry.registry import metricset_class
 
-        carrying = {s.id for s in self.spans if kind in s.counters}
-        by_id = {s.id: s for s in self.spans}
-        blocks = []
-        for s in self.spans:
-            if kind not in s.counters:
-                continue
-            ancestor = s.parent_id
-            shadowed = False
-            while ancestor is not None:
-                if ancestor in carrying:
-                    shadowed = True
-                    break
-                ancestor = by_id[ancestor].parent_id
-            if not shadowed:
-                blocks.append(s.counters[kind])
-        return merge_counters(kind, blocks)
+        totals = reaggregate(trace_events(self))
+        return totals[kind] if kind in totals else metricset_class(kind)()
 
 
 # The active trace.  A ContextVar (never a module global) keeps concurrent

@@ -2,6 +2,8 @@
 SearchStats, plus the log-scale timing histogram."""
 
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -12,15 +14,10 @@ from repro.relational.stats import EvalStats
 from repro.telemetry import (
     METRICSET_KINDS,
     TimingHistogram,
-    counter_delta,
-    flatten,
-    from_counters,
     kind_of,
     merge_counters,
-    metric_names,
     metricset_class,
     payload,
-    snapshot,
 )
 
 
@@ -51,22 +48,24 @@ def test_counter_delta_scalars_dicts_and_list_suffixes():
     stats.tuples_scanned = 3
     stats.intermediate_sizes.append(10)
     stats.operator_counts["natural_join"] = 1
-    before = snapshot(stats)
+    before = stats.snapshot()
     stats.tuples_scanned = 8
     stats.intermediate_sizes.append(20)
     stats.operator_counts["natural_join"] = 4
     stats.operator_counts["project"] = 2
-    delta = counter_delta(stats, before)
+    delta = stats.counter_delta(before)
     assert delta["tuples_scanned"] == 5
     assert delta["intermediate_sizes"] == [20]
     assert delta["operator_counts"] == {"natural_join": 3, "project": 2}
     # Untouched counters are omitted entirely.
     assert "hash_probes" not in delta
-    assert counter_delta(stats, snapshot(stats)) == {}
+    assert stats.counter_delta(stats.snapshot()) == {}
 
 
 def test_from_counters_ignores_derived_keys():
-    stats = from_counters("eval", {"tuples_scanned": 4, "joins": 99, "hit_rate": 0.5})
+    stats = metricset_class("eval").from_counters(
+        {"tuples_scanned": 4, "joins": 99, "hit_rate": 0.5}
+    )
     assert stats.tuples_scanned == 4
     # "joins" / "hit_rate" are derived by as_dict(), not settable fields —
     # they recompute from the real counters.
@@ -88,28 +87,48 @@ def test_search_stats_non_counter_fields_are_excluded():
     stats = SearchStats()
     stats.solution = {"x": 1}
     stats.nodes = 4
-    snap = snapshot(stats)
+    snap = stats.snapshot()
     assert "solution" not in snap and "propagation" not in snap
     stats.nodes = 9
     stats.solution = {"x": 2}
-    assert counter_delta(stats, snap) == {"nodes": 5}
-    rebuilt = from_counters("search", {"nodes": 5, "solution": {"x": 1}})
+    assert stats.counter_delta(snap) == {"nodes": 5}
+    rebuilt = metricset_class("search").from_counters(
+        {"nodes": 5, "solution": {"x": 1}}
+    )
     assert rebuilt.nodes == 5 and rebuilt.solution is None
 
 
 def test_metric_names_are_namespaced_by_kind():
-    names = metric_names("eval")
+    names = metricset_class("eval").metric_names()
     assert "eval.tuples_scanned" in names
     assert all(n.startswith("eval.") for n in names)
-    assert "propagation.revisions" in metric_names("propagation")
-    assert "search.nodes" in metric_names("search")
+    assert "propagation.revisions" in metricset_class("propagation").metric_names()
+    assert "search.nodes" in metricset_class("search").metric_names()
+
+
+@pytest.mark.parametrize("kind", METRICSET_KINDS)
+def test_metric_names_are_the_keys_flatten_emits(kind):
+    cls = metricset_class(kind)
+    assert cls.metric_names() == tuple(cls().flatten())
+
+
+def test_docs_migration_table_lists_every_metric_name():
+    doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+    text = doc.read_text(encoding="utf-8")
+    section = text.split("### Migration note")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `\w+` \([^)]*\) \| `([\w.]+)` \|$", section, re.M)
+    assert tuple(listed) == tuple(
+        name
+        for kind in METRICSET_KINDS
+        for name in metricset_class(kind).metric_names()
+    )
 
 
 def test_flatten_keeps_scalars_only():
     stats = EvalStats()
     stats.tuples_scanned = 5
     stats.intermediate_sizes.append(3)
-    flat = flatten(stats)
+    flat = stats.flatten()
     assert flat["eval.tuples_scanned"] == 5
     assert "eval.intermediate_sizes" not in flat
     assert all(isinstance(v, (int, float)) for v in flat.values())
