@@ -170,14 +170,17 @@ def _propagation_workload(seed: int):
 def stats_command(args: argparse.Namespace) -> None:
     """Run the workload once per strategy and report its metric set: the
     :func:`repro.telemetry.payload` per strategy with ``--json``, else a
-    table with a column for each number that is non-zero in some row."""
+    table with a column for each number that is non-zero in some row.
+    Each strategy runs on a freshly built workload, so no strategy probes
+    indexes another one memoized and the rows do not depend on their
+    order."""
     import time
 
     from repro.telemetry import payload
 
-    cls, runs = _stats_workload(args.workload, args.seed)
     rows: dict[str, dict] = {}
     for strategy in args.strategies:
+        cls, runs = _stats_workload(args.workload, args.seed)
         start = time.perf_counter()
         with cls.collect() as stats:
             for run in runs:

@@ -44,9 +44,9 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
     Per :func:`atom_shape`, atoms that differ only in their variable names
     get :meth:`~repro.relational.relation.Relation.renamed` views of one
     translated relation, sharing its rows and its positional row memo — so
-    the hash indexes and planner statistics one query builds are probed
-    for free by the next, whatever it names its variables.  That is the
-    cross-query reuse the :mod:`repro.service` cache leans on.
+    the hash indexes one query builds are probed for free by the next,
+    whatever it names its variables.  That is the cross-query reuse the
+    :mod:`repro.service` cache leans on.
     """
     if atom.predicate not in database.vocabulary:
         raise VocabularyError(
@@ -151,15 +151,14 @@ def _body_join(
     """Join the body atoms.  ``strategy`` picks the join order and execution
     (see :func:`repro.relational.planner.parse_strategy`): ``"textbook"`` is
     the textual atom order, ``"scan"`` forces nested-loop joins, ``"wcoj"``
-    the leapfrog triejoin, and the default is the cost-guided greedy plan
-    over the hash-indexed operators.  ``"auto"`` consults the body's
-    hypergraph (:mod:`repro.width`): acyclic bodies go through Yannakakis'
-    semijoin reducer, **cyclic** bodies through the worst-case optimal
-    leapfrog triejoin — the regime where every pairwise plan is
-    AGM-suboptimal — and the default plan covers the rest.
+    the leapfrog triejoin, and the default is the greedy order on the
+    hash-indexed kernel.  ``"auto"`` consults the body's hypergraph
+    (:mod:`repro.width`): acyclic bodies go through Yannakakis' semijoin
+    reducer, **cyclic** bodies through the worst-case optimal leapfrog
+    triejoin — the regime where every pairwise order is AGM-suboptimal.
 
     ``attributes``, when given, names the columns to project onto; every
-    route but ``"auto"`` hands it to :func:`join_all`, whose indexed fold
+    route but ``"auto"`` hands it to :func:`join_all`, whose indexed kernel
     then drops each variable as soon as no later atom mentions it.  The
     ``"auto"`` route ignores it and joins over every variable."""
     if strategy == "auto":
@@ -290,7 +289,7 @@ def evaluate(
     (:mod:`repro.relational.wcoj`).
 
     Every other strategy hands the head to :func:`join_all`, so the
-    default indexed fold projects while it joins: a variable is dropped as
+    default indexed kernel projects while it joins: a variable is dropped as
     soon as neither the head nor a later atom mentions it, no intermediate
     is larger than the join over its live variables, and the final
     ``project`` is the identity.  A single-atom body whose variables are

@@ -8,14 +8,14 @@ Each normalized constraint ``(t, R)`` is read as a relation over the scheme
 the natural join of all constraint relations.  Every row of the join extends
 to a solution by assigning unconstrained variables arbitrarily.
 
-The join order is chosen by the cost-guided planner in
-:mod:`repro.relational.planner` (smallest estimated intermediate first);
-pass ``strategy="textbook"`` to join the constraints in the order they were
-written, or ``"smallest"`` for the simple cardinality sort.  Orthogonally,
-the join *execution* defaults to the hash-indexed build/probe operators;
-``strategy="scan"`` selects the nested-loop implementation (the
-differential-testing oracle), and compound specs such as
-``"textbook+scan"`` fix both — see
+The default ``"greedy"`` join order of :mod:`repro.relational.planner`
+starts from the smallest constraint relation and then takes the one whose
+variables are all bound, else the one with the most bound variables; pass
+``strategy="textbook"`` to join the constraints in the order they were
+written.  Orthogonally, the join *execution* defaults to the hash-indexed
+kernel of :func:`~repro.relational.algebra.join_all`; ``strategy="scan"``
+selects the nested-loop implementation (the differential-testing oracle),
+and compound specs such as ``"textbook+scan"`` fix both — see
 :func:`repro.relational.planner.parse_strategy`.
 :mod:`repro.width.acyclic` offers the Yannakakis evaluation that is
 worst-case-optimal for acyclic instances.
@@ -64,9 +64,9 @@ def join_of_constraints(
 ) -> Relation:
     """Evaluate ``⋈_{(t,R)∈C} R`` for the normalized instance.
 
-    ``strategy`` selects the join order (``"greedy"``, ``"smallest"``,
-    ``"textbook"``) and/or execution (``"indexed"``, ``"scan"``); every
-    combination yields the same relation.
+    ``strategy`` selects the join order (``"greedy"``, ``"textbook"``)
+    and/or execution (``"indexed"``, ``"scan"``, ``"wcoj"``,
+    ``"columnar"``); every combination yields the same relation.
     """
     return join_all(constraint_relations(instance), strategy=strategy)
 

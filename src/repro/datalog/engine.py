@@ -113,9 +113,9 @@ def _apply_rule(
     across update batches — through ``cache``.  ``strategy`` picks the
     join order and execution of an unseeded body (``"textbook"`` keeps
     the order the body was written in; ``"scan"`` forces nested loops;
-    the default is the cost-guided plan over the fused hash join-project
-    fold, every other execution projects once at the end) and the
-    execution of a seeded one.
+    the default is the greedy order on the indexed kernel, which projects
+    while it joins, and every other execution projects once at the end)
+    and the execution of a seeded one.
 
     ``excluded`` maps predicates to facts their value in ``values`` still
     holds but that are no longer part of it (DRed's over-deleted facts,

@@ -33,9 +33,7 @@ evaluators do.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from repro.cq.evaluate import atom_shape, share_row_memo, translate_atom
@@ -155,25 +153,22 @@ class _PredicateIndexPool:
     pool's last sync (``synced`` counts the journal entries already
     folded), each kept when it entered or left the value — the snapshots
     themselves are never diffed.  Indexes are keyed by column positions,
-    exactly as in a relation's :class:`~repro.relational.relation.RowMemo`,
-    and per-position distinct-value counts ride along so the planner's
-    :func:`~repro.relational.planner.profile` statistics carry over too.
+    exactly as in a relation's :class:`~repro.relational.relation.RowMemo`.
     The read side shares the snapshot relation's memo
     (:meth:`IncrementalEvaluation.as_structure`), so the pool publishes
     into it what reads probe and adopts from it what reads build.  Every
-    rule body and read runs on the fused fold, which tests an atom whose
+    rule body and read runs on the indexed kernel of
+    :func:`~repro.relational.algebra.join_all`, which tests an atom whose
     variables are all bound by membership in its rows, so a pool holds
     partial-key indexes only (``E`` (0,), (1,) and ``T`` (0,), (1,) on
     transitive closure), never a full-row one.
     """
 
-    __slots__ = ("rows", "arity", "indexes", "counters", "synced", "copied")
+    __slots__ = ("rows", "indexes", "synced", "copied")
 
-    def __init__(self, rows: frozenset, arity: int) -> None:
+    def __init__(self, rows: frozenset) -> None:
         self.rows = rows
-        self.arity = arity
         self.indexes: dict[tuple[int, ...], dict[tuple, list]] = {}
-        self.counters: list[Counter] | None = None
         self.synced = 0
         self.copied: set[tuple[int, ...]] = set()
 
@@ -182,29 +177,21 @@ class _PredicateIndexPool:
         self.synced = 0
         self.copied.clear()
 
-    def _count_from_scratch(self) -> list[Counter]:
-        return [Counter(map(itemgetter(i), self.rows)) for i in range(self.arity)]
-
     def adopt(self, memo: RowMemo) -> None:
         """Take ownership of the indexes joins built on a relation over
         ``self.rows``."""
         for positions, index in memo.indexes.items():
             self.indexes.setdefault(positions, index)
-        if self.indexes and self.counters is None:
-            self.counters = self._count_from_scratch()
 
     def publish(self, memo: RowMemo) -> None:
         """Top up the memo of a relation over ``self.rows`` with the
-        pooled indexes and distinct counts."""
+        pooled indexes."""
         for positions, index in self.indexes.items():
             memo.indexes.setdefault(positions, index)
-        if memo.distinct is None and self.counters is not None:
-            memo.distinct = tuple(float(len(c)) for c in self.counters)
 
     def sync(self, rows: frozenset, touched: Iterable[frozenset | set]) -> None:
         """Move the pool to ``rows``, folding into every maintained index
-        (and the distinct-value counters) the net change among the
-        ``touched`` rows — which must hold every row that differs between
+        the net change among the ``touched`` rows — which must hold every row that differs between
         the pool's snapshot and ``rows``."""
         if rows is self.rows:
             return
@@ -215,15 +202,6 @@ class _PredicateIndexPool:
                     index = self.indexes[positions] = dict(index)
                     self.copied.add(positions)
                 _fold_rows(index, positions, added, removed)
-            if self.counters is not None:
-                for i, counter in enumerate(self.counters):
-                    for v in map(itemgetter(i), removed):
-                        left = counter[v] - 1
-                        if left:
-                            counter[v] = left
-                        else:
-                            del counter[v]
-                    counter.update(map(itemgetter(i), added))
         self.rows = rows
 
 
@@ -409,9 +387,8 @@ class IncrementalEvaluation:
         Atoms over a pooled predicate whose terms are distinct variables
         translate to the pool's snapshot relation
         (:func:`~repro.cq.evaluate.share_row_memo`), so the first read
-        after an update probes indexes and distinct counts maintained in
-        O(delta), and the indexes reads build are adopted by the pool at
-        the next batch.
+        after an update probes indexes maintained in O(delta), and the
+        indexes reads build are adopted by the pool at the next batch.
         """
         if self._structure is None:
             counts = self._domain_counts
@@ -535,7 +512,7 @@ class IncrementalEvaluation:
                 continue
             pool = self._pools.get(predicate)
             if pool is None:
-                self._pools[predicate] = _PredicateIndexPool(rows, atom.arity)
+                self._pools[predicate] = _PredicateIndexPool(rows)
                 continue
             if rows is pool.rows:
                 continue
@@ -548,7 +525,7 @@ class IncrementalEvaluation:
 
     def _seed_pool_relations(self) -> None:
         """Make the atom cache's relation for each pooled snapshot carry the
-        pool's maintained indexes (and planner statistics), so the phase's
+        pool's maintained indexes, so the phase's
         joins probe them instead of rebuilding O(rows) structures per
         update batch."""
         for predicate, atom in self._identity_atoms.items():
@@ -559,7 +536,7 @@ class IncrementalEvaluation:
 
     def _pool_relation(self, atom: Atom, pool: _PredicateIndexPool) -> Relation:
         """The atom cache's relation over the pool's snapshot, topped up
-        with the pool's indexes and distinct counts."""
+        with the pool's indexes."""
         key = (atom_shape(atom)[0], pool.rows)
         relation = self._cache.get(key)
         if relation is None:

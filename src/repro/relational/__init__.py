@@ -25,9 +25,7 @@ from repro.relational.algebra import (
 from repro.relational.planner import (
     EXECUTIONS,
     STRATEGIES,
-    JoinPlan,
     choose_build_side,
-    order_relations,
     parse_strategy,
     plan_join,
 )
@@ -87,9 +85,7 @@ __all__ = [
     "DEFAULT_EXECUTION",
     "STRATEGIES",
     "EXECUTIONS",
-    "JoinPlan",
     "plan_join",
-    "order_relations",
     "parse_strategy",
     "choose_build_side",
     "EvalStats",

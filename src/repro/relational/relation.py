@@ -13,10 +13,10 @@ converts between.
 
 Rows, and everything derived from them, live by column *position*; the
 scheme is a view over them.  The memoized hash indexes, code indexes and
-per-column distinct counts sit in one :class:`RowMemo` keyed by column
-positions, and :meth:`Relation.renamed` hands out the same rows under
-another scheme in O(1), sharing both the row set and that memo — so an
-index built through one variable naming is probed through every other.
+bucket projections sit in one :class:`RowMemo` keyed by column positions,
+and :meth:`Relation.renamed` hands out the same rows under another scheme
+in O(1), sharing both the row set and that memo — so an index built
+through one variable naming is probed through every other.
 """
 
 from __future__ import annotations
@@ -113,22 +113,19 @@ class RowMemo:
     to the :meth:`Relation.index_on` / :meth:`Relation.code_index_on`
     structure over those columns; ``parts`` maps a pair of key and column
     positions to the :meth:`Relation.parts_on` projections of that index's
-    buckets; ``distinct`` holds the per-column distinct-value counts behind
-    :func:`repro.relational.planner.profile` (``None`` until first
-    requested).  The memo only ever gains entries, and its indexes and
+    buckets.  The memo only ever gains entries, and its indexes and
     their buckets are never mutated while the relation can still be
     handed out; the one exception is a maintenance pool's batch-private
     index, edited in place once the mid-batch snapshot it was published
     to is unreachable (:mod:`repro.datalog.incremental`).
     """
 
-    __slots__ = ("indexes", "code_indexes", "parts", "distinct")
+    __slots__ = ("indexes", "code_indexes", "parts")
 
     def __init__(self) -> None:
         self.indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]] = {}
         self.code_indexes: dict[tuple[int, ...], CodeIndex] = {}
         self.parts: dict[tuple[tuple[int, ...], tuple[int, ...]], _BucketParts] = {}
-        self.distinct: tuple[float, ...] | None = None
 
 
 class _BucketParts(dict):
@@ -261,7 +258,7 @@ class Relation:
     # -- pickling ----------------------------------------------------------
     #
     # Only the scheme and the rows travel: the row memo (hash indexes, code
-    # indexes, distinct counts) and the column store are derived state,
+    # indexes, bucket projections) and the column store are derived state,
     # rebuilt lazily on the other side, so a pickled relation costs no more
     # than its rows.
 
@@ -319,8 +316,8 @@ class Relation:
         """The same rows under the scheme ``attributes``, in O(1).
 
         Columns correspond positionally.  The result shares this
-        relation's row set and :class:`RowMemo`, so indexes and planner
-        statistics built through either scheme serve both; equality and
+        relation's row set and :class:`RowMemo`, so indexes built through
+        either scheme serve both; equality and
         hashing still see the new names.  Renaming to the current scheme
         returns ``self``.  A scheme with repeated names raises
         :class:`~repro.errors.SchemaError`, one of the wrong length

@@ -234,7 +234,7 @@ class Structure:
         lifetime — :func:`repro.cq.evaluate.atom_relation` uses this to
         translate each atom *shape* once and hand every atom of that shape
         a renamed view of the result, so the positional row memo (hash
-        indexes, planner statistics) that one query's joins build is probed
+        indexes, bucket projections) that one query's joins build is probed
         (not rebuilt) by every later query, whatever its variable names.
         The memo is identity state: it is excluded from equality, hashing,
         and pickling.

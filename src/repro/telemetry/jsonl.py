@@ -138,7 +138,10 @@ def validate_events(events: Iterable[Mapping[str, Any]]) -> list[str]:
     Checks: known event types with the required, correctly-typed keys;
     spans open before they emit counters or close; LIFO (properly nested)
     closes; every opened span closed exactly once; counter metricsets
-    drawn from the registered kinds.
+    drawn from the registered kinds.  Span ids restart in every trace, so
+    a root ``span_open`` reusing an id while no span is open starts the
+    next of several concatenated streams; reusing one inside an open span
+    is an error.
     """
     problems: list[str] = []
     opened: dict[int, str] = {}
@@ -148,6 +151,11 @@ def validate_events(events: Iterable[Mapping[str, Any]]) -> list[str]:
     def bad(i: int, msg: str) -> None:
         problems.append(f"event {i}: {msg}")
 
+    def unclosed() -> None:
+        for sid in opened:
+            if sid not in closed:
+                problems.append(f"span {sid} ({opened[sid]!r}) never closed")
+
     for i, event in enumerate(events):
         etype = event.get("type")
         if etype == "span_open":
@@ -156,7 +164,13 @@ def validate_events(events: Iterable[Mapping[str, Any]]) -> list[str]:
                 bad(i, "span_open without integer 'id'")
                 continue
             if sid in opened:
-                bad(i, f"span {sid} opened twice")
+                if stack or parent is not None:
+                    bad(i, f"span {sid} opened twice")
+                else:
+                    # A root reusing an id starts the next of several
+                    # concatenated streams, whose ids start over.
+                    unclosed()
+                    opened, closed = {}, set()
             if not isinstance(event.get("name"), str):
                 bad(i, f"span {sid} has no string 'name'")
             if not isinstance(event.get("t"), (int, float)):
@@ -198,9 +212,7 @@ def validate_events(events: Iterable[Mapping[str, Any]]) -> list[str]:
             closed.add(sid)
         else:
             bad(i, f"unknown event type {etype!r}")
-    for sid in opened:
-        if sid not in closed:
-            problems.append(f"span {sid} ({opened[sid]!r}) never closed")
+    unclosed()
     return problems
 
 

@@ -4,10 +4,9 @@ stream of insert/delete batches, the maintained fixpoint equals
 on recursive and non-recursive programs, and batches that kill and
 rederive facts through alternative supports.  After every batch
 the report is the exact net change of every value, and every pooled index
-and distinct-value counter equals one rebuilt from the current rows."""
+equals one rebuilt from the current rows."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -107,9 +106,6 @@ def apply_checked(inc, inserts, deletes):
             assert {k: sorted(v) for k, v in index.items()} == {
                 k: sorted(v) for k, v in rebuilt.items()
             }, (p, positions)
-        if pool.counters is not None:
-            recounted = [Counter(row[i] for row in rows) for i in range(pool.arity)]
-            assert pool.counters == recounted, p
     return report
 
 

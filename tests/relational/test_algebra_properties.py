@@ -66,7 +66,7 @@ def test_join_associative_up_to_column_order(r, s, t):
 def test_join_all_order_independent(r, s, t):
     results = {
         strategy: join_all([r, s, t], strategy=strategy)
-        for strategy in ("greedy", "smallest", "textbook")
+        for strategy in ("greedy", "textbook")
     }
     forms = {normalized(rel) for rel in results.values()}
     assert len(forms) == 1
@@ -201,7 +201,7 @@ def test_join_all_compound_strategies_agree(r, s, t):
     """Order and execution are orthogonal: every order+execution compound
     spec computes the same relation."""
     specs = [
-        "greedy+indexed", "greedy+scan", "smallest+scan",
+        "greedy+indexed", "greedy+scan",
         "textbook+indexed", "textbook+scan", "indexed", "scan",
     ]
     forms = {

@@ -1,15 +1,9 @@
-"""Unit tests for the cost-guided join planner."""
+"""Unit tests for the join order: ``plan_join`` and its step rule."""
 
 import pytest
 
 from repro.errors import SolverError
-from repro.relational.planner import (
-    STRATEGIES,
-    estimate_join,
-    order_relations,
-    plan_join,
-    profile,
-)
+from repro.relational.planner import STRATEGIES, next_operand, parse_strategy, plan_join
 from repro.relational.relation import Relation
 
 
@@ -17,48 +11,10 @@ def rel(attrs, rows):
     return Relation(attrs, rows)
 
 
-class TestProfile:
-    def test_exact_counts(self):
-        r = rel(("x", "y"), [(1, 1), (1, 2), (2, 2)])
-        p = profile(r)
-        assert p.cardinality == 3
-        assert p.distinct == {"x": 2.0, "y": 2.0}
-
-    def test_empty_relation(self):
-        p = profile(Relation.empty(("x",)))
-        assert p.cardinality == 0
-        assert p.distinct == {"x": 0.0}
-
-
-class TestEstimate:
-    def test_disjoint_schemes_estimate_product(self):
-        left = profile(rel(("x",), [(1,), (2,)]))
-        right = profile(rel(("y",), [(5,), (6,), (7,)]))
-        assert estimate_join(left, right).cardinality == 6
-
-    def test_shared_attribute_divides(self):
-        left = profile(rel(("x", "y"), [(i, i % 3) for i in range(6)]))
-        right = profile(rel(("y", "z"), [(i % 3, i) for i in range(6)]))
-        est = estimate_join(left, right)
-        assert est.cardinality == pytest.approx(6 * 6 / 3)
-        assert est.attributes == {"x", "y", "z"}
-
-    def test_empty_side_estimates_zero(self):
-        left = profile(Relation.empty(("x", "y")))
-        right = profile(rel(("y", "z"), [(1, 2)]))
-        assert estimate_join(left, right).cardinality == 0
-
-
 class TestPlans:
     def test_textbook_keeps_given_order(self):
         rels = [rel(("a",), [(i,) for i in range(n)]) for n in (5, 1, 3)]
-        plan = plan_join(rels, "textbook")
-        assert plan.order == (0, 1, 2)
-
-    def test_smallest_sorts_by_cardinality(self):
-        rels = [rel(("a",), [(i,) for i in range(n)]) for n in (5, 1, 3)]
-        plan = plan_join(rels, "smallest")
-        assert plan.order == (1, 2, 0)
+        assert plan_join(rels, "textbook") == (0, 1, 2)
 
     def test_greedy_starts_with_smallest_relation(self):
         rels = [
@@ -66,8 +22,15 @@ class TestPlans:
             rel(("y", "z"), [(0, 0)]),
             rel(("z", "w"), [(i, i) for i in range(4)]),
         ]
-        plan = plan_join(rels, "greedy")
-        assert plan.order[0] == 1
+        assert plan_join(rels, "greedy")[0] == 1
+
+    def test_greedy_breaks_a_size_tie_by_position(self):
+        rels = [
+            rel(("x", "y"), [(i, i) for i in range(9)]),
+            rel(("y", "z"), [(0, 0), (1, 1)]),
+            rel(("z", "w"), [(2, 2), (3, 3)]),
+        ]
+        assert plan_join(rels, "greedy")[0] == 1
 
     def test_greedy_avoids_cartesian_products(self):
         # A chain R(a,b)–S(b,c)–T(c,d): after R, joining T would be a pure
@@ -75,32 +38,24 @@ class TestPlans:
         r = rel(("a", "b"), [(i, i) for i in range(2)])
         s = rel(("b", "c"), [(i, i) for i in range(5)])
         t = rel(("c", "d"), [(i, i) for i in range(5)])
-        plan = plan_join([r, s, t], "greedy")
-        assert plan.order == (0, 1, 2)
+        assert plan_join([r, s, t], "greedy") == (0, 1, 2)
 
     def test_greedy_prefers_empty_relation_first(self):
         rels = [
             rel(("x", "y"), [(i, i) for i in range(5)]),
             Relation.empty(("y", "z")),
         ]
-        plan = plan_join(rels, "greedy")
-        assert plan.order[0] == 1
-        assert plan.estimated_max_intermediate == 0
+        assert plan_join(rels, "greedy")[0] == 1
 
     def test_plan_is_a_permutation(self):
         rels = [rel(("a", "b"), [(1, 2)]), rel(("b", "c"), [(2, 3)]),
                 rel(("a", "c"), [(1, 3)]), rel(("d",), [(9,)])]
         for strategy in STRATEGIES:
-            plan = plan_join(rels, strategy)
-            assert sorted(plan.order) == [0, 1, 2, 3]
-            assert len(plan.estimated_sizes) == len(rels) - 1
+            assert sorted(plan_join(rels, strategy)) == [0, 1, 2, 3]
 
     def test_empty_input(self):
         for strategy in STRATEGIES:
-            plan = plan_join([], strategy)
-            assert plan.order == ()
-            assert plan.estimated_max_intermediate == 0.0
-            assert order_relations([], strategy) == []
+            assert plan_join([], strategy) == ()
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SolverError):
@@ -110,12 +65,45 @@ class TestPlans:
         rels = [rel(("a", "b"), [(i, j) for i in range(3) for j in range(2)]),
                 rel(("b", "c"), [(i, i) for i in range(4)]),
                 rel(("c", "a"), [(i, 0) for i in range(3)])]
-        plans = {plan_join(rels, "greedy").order for _ in range(5)}
+        plans = {plan_join(rels, "greedy") for _ in range(5)}
         assert len(plans) == 1
 
 
-def test_order_relations_returns_same_multiset():
-    rels = [rel(("a", "b"), [(1, 2)]), rel(("b", "c"), [(2, 3), (4, 5)])]
-    for strategy in STRATEGIES:
-        ordered = order_relations(rels, strategy)
-        assert sorted(ordered, key=repr) == sorted(rels, key=repr)
+class TestStepRule:
+    def test_an_all_bound_operand_goes_first(self):
+        pending = [
+            rel(("y", "z"), [(1, 2)]),
+            rel(("x", "y"), [(i, i) for i in range(9)]),
+        ]
+        # (y, z) has one of its variables bound and (x, y) both: the
+        # all-bound one wins despite its size.
+        assert next_operand({"x", "y"}, pending) == 1
+
+    def test_most_bound_variables_then_fewer_rows_then_position(self):
+        pending = [
+            rel(("a", "q"), [(1, 2), (2, 3)]),
+            rel(("a", "b", "q"), [(1, 2, 3), (2, 3, 4)]),
+            rel(("b", "r"), [(1, 1)]),
+            rel(("a", "s"), [(1, 1)]),
+        ]
+        assert next_operand({"a", "b"}, pending) == 1
+        assert next_operand({"a"}, pending) == 3
+        assert next_operand({"a"}, pending[:3]) == 0
+        assert next_operand(set(), pending[2:]) == 0
+
+    def test_greedy_applies_the_step_rule_from_the_smallest(self):
+        # The triangle's smallest edge set binds (x, y); the closing
+        # atom over (x, z) and the one over (y, z) each bind one variable,
+        # and the smaller of the two goes next.
+        xy = rel(("x", "y"), [(0, 1)])
+        yz = rel(("y", "z"), [(i, i) for i in range(6)])
+        xz = rel(("x", "z"), [(i, i) for i in range(4)])
+        assert plan_join([yz, xz, xy], "greedy") == (2, 1, 0)
+
+
+def test_smallest_is_no_longer_an_order():
+    with pytest.raises(SolverError, match="greedy") as excinfo:
+        parse_strategy("smallest")
+    assert "textbook" in str(excinfo.value)
+    with pytest.raises(SolverError):
+        plan_join([rel(("a",), [(1,)])], "smallest")

@@ -7,8 +7,9 @@ must be exactly ``project(join_all(rels, s), A)``, for every order and
 execution, including empty operands, operands sharing no attribute
 (Cartesian steps), the empty answer scheme, and answer schemes that reorder
 the joined columns.  A seeded join, ``join_all(rels, attributes=A,
-seed=s)``, is ``π_A`` of the join of ``[s, *rels]`` the same way, though
-the indexed execution runs it on its own planner-free kernel.
+seed=s)``, is ``π_A`` of the join of ``[s, *rels]`` the same way.  The
+indexed execution runs both on one kernel: an unseeded join starts from
+the first operand of its order, a seeded one from the seed.
 """
 
 import pytest
@@ -270,16 +271,17 @@ def test_dead_variables_leave_the_fold_on_the_serve_read_forest():
 def test_indexes_the_fold_builds_on_base_operands_are_index_on_indexes():
     """A hash table the projected fold builds over an operand is published
     into the operand's row memo: ``index_on`` then returns it, equal to the
-    index a fresh copy of the rows builds, and the next fold builds none."""
+    index a fresh copy of the rows builds, and the next fold builds none.
+    The fold starts from the smaller operand, which probes the other."""
     small = Relation(("x", "y"), [(1, 2), (1, 3), (2, 3)])
     large = Relation(("y", "z"), [(2, 5), (3, 6), (3, 7), (4, 8)])
     with collect_stats() as stats:
         answer = join_all([small, large], attributes=("x", "z"))
     assert stats.index_builds == 1
     assert answer == project(join_all([small, large], "scan"), ("x", "z"))
-    assert small.has_index(("y",)) and not large.has_index(("y",))
-    copy = Relation(small.attributes, small.tuples)
-    assert small.index_on(("y",)) == copy.index_on(("y",))
+    assert large.has_index(("y",)) and not small.has_index(("y",))
+    copy = Relation(large.attributes, large.tuples)
+    assert large.index_on(("y",)) == copy.index_on(("y",))
     with collect_stats() as again:
         join_all([small, large], attributes=("x", "z"))
     assert again.index_builds == 0
@@ -300,9 +302,68 @@ def test_an_all_bound_operand_is_a_membership_test():
     assert not closure.has_index(("x", "z"))
 
 
+def test_an_unseeded_join_seeds_from_the_smallest_operand():
+    """An unseeded indexed join takes the smallest operand as its seed —
+    ties going to the one written first — records it as the first
+    ``natural_join``, and builds indexes only on the operands it probes;
+    ``textbook`` seeds from the first operand written."""
+    def operands():
+        return [
+            Relation(("x", "y"), [(i, i + 1) for i in range(6)]),
+            Relation(("y", "z"), [(1, 2), (2, 3)]),
+            Relation(("z", "w"), [(2, 0), (3, 1)]),
+        ]
+
+    big, first, second = rels = operands()
+    with collect_stats() as stats:
+        answer = join_all(rels, attributes=("x", "w"))
+    assert answer == project(join_all(operands(), "scan"), ("x", "w"))
+    assert stats.joins == 3 and stats.intermediate_sizes[0] == len(first)
+    assert stats.index_builds == 2
+    assert not first.row_memo.indexes
+    assert big.has_index(("y",)) and second.has_index(("z",))
+
+    big, first, second = rels = operands()
+    with collect_stats() as stats:
+        assert join_all(rels, "textbook", attributes=("x", "w")) == answer
+    assert stats.intermediate_sizes[0] == len(big)
+    assert not big.row_memo.indexes
+    assert first.has_index(("y",)) and second.has_index(("z",))
+
+
+def test_every_indexed_join_runs_the_kernel(monkeypatch):
+    """Seeded or not, with or without ``attributes``, an indexed
+    ``join_all`` runs :func:`_join_from_seed` and never the binary fold."""
+    from repro.relational import algebra
+
+    calls = []
+    kernel, fold = algebra._join_from_seed, algebra._join_all
+
+    def counted(*args, **kwargs):
+        calls.append("kernel")
+        return kernel(*args, **kwargs)
+
+    def folded(pending, execution):
+        calls.append(execution)
+        return fold(pending, execution)
+
+    monkeypatch.setattr(algebra, "_join_from_seed", counted)
+    monkeypatch.setattr(algebra, "_join_all", folded)
+    rels = [Relation(("x", "y"), [(1, 2), (2, 3)]), Relation(("y", "z"), [(2, 4)])]
+    seed = Relation(("x",), [(1,)])
+    for order in STRATEGIES:
+        for attributes in (None, ("x", "z")):
+            for s in (None, seed):
+                join_all(rels, order, attributes=attributes, seed=s)
+    assert calls == ["kernel"] * 2 * len(STRATEGIES) * 2
+    calls.clear()
+    join_all(rels, "scan")
+    assert calls == ["scan"]
+
+
 def test_a_free_operand_is_probed_by_the_smaller_side():
-    """When both operands of a step are free to probe — one indexed on the
-    key, the other with the key as its whole scheme — the smaller probes."""
+    """The first operand of the order probes the next one's memoized index
+    on their shared key: one probe, nothing built."""
     bound = Relation(("y",), [(2,)])
     edges = Relation(("y", "z"), [(y, y + 1) for y in range(50)])
     edges.index_on(("y",))

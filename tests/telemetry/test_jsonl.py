@@ -151,6 +151,18 @@ def test_validator_catches_schema_violations():
         "unknown event type" in p
         for p in validate_events([{"type": "mystery"}])
     )
+    # Concatenated traces: a root reusing an id while no span is open
+    # starts the next stream.
+    assert validate_events(
+        [open_(0), open_(1, 0), close(1), close(0), open_(0), close(0)]
+    ) == []
+    # Reusing an id while a span is still open stays an error.
+    assert any(
+        "span 1 opened twice" in p
+        for p in validate_events(
+            [open_(0), open_(1, 0), close(1), open_(1, 0), close(1), close(0)]
+        )
+    )
 
 
 def test_parse_rejects_invalid_streams():

@@ -21,3 +21,17 @@ def test_text_table_has_a_column_for_every_charged_counter(workload, capsys):
                 continue
             if value:
                 assert key.replace("_", "-") in header, (strategy, key)
+
+
+def test_strategy_rows_do_not_depend_on_their_order(capsys):
+    """Every strategy runs on a freshly built workload: an index one
+    strategy memoized never cheapens the next one's counters."""
+    def rows(*strategies):
+        cli.main(["stats", "--workload", "chain", "--json", "--strategies", *strategies])
+        payloads = json.loads(capsys.readouterr().out)
+        return {
+            strategy: {k: v for k, v in payload.items() if "seconds" not in k}
+            for strategy, payload in payloads.items()
+        }
+
+    assert rows("greedy", "textbook") == rows("textbook", "greedy")

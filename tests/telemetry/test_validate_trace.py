@@ -51,6 +51,10 @@ STREAMS = {
         _close(0),
     ],
     "unknown-type": [{"type": "mystery"}],
+    "concatenated": [_open(0), _open(1, 0), _close(1), _close(0), _open(0), _close(0)],
+    "reopened-inside": [
+        _open(0), _open(1, 0), _close(1), _open(1, 0), _close(1), _close(0)
+    ],
 }
 
 

@@ -71,8 +71,6 @@ DECIDERS = [
     ("join-textbook-wcoj", lambda i: join.is_solvable(
         i, strategy="textbook+wcoj")),
     ("join-columnar", lambda i: join.is_solvable(i, strategy="columnar")),
-    ("join-smallest-columnar", lambda i: join.is_solvable(
-        i, strategy="smallest+columnar")),
     ("decomposition", decomposition.is_solvable),
     ("consistency-k2", lambda i: consistency.is_solvable(i, 2)),
     ("consistency-k2-naive", lambda i: consistency.is_solvable(i, 2, strategy="naive")),

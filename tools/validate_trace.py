@@ -5,14 +5,17 @@ Reads a trace event stream from stdin (or the files given as arguments)
 and checks the schema that ``repro profile --jsonl`` / ``repro trace``
 emit: known event types with required keys, spans opened before they emit
 counters or close, properly nested (LIFO) closes, every span closed
-exactly once.  Exits 0 on a well-formed stream, 1 otherwise, printing
-each problem on stderr — the CI profile-smoke step pipes the CLI output
-straight through this script.
+exactly once.  Several traces may be concatenated: a root span reusing an
+id while no span is open starts the next one.  Exits 0 on a well-formed
+stream, 1 otherwise, printing each problem on stderr — the CI
+profile-smoke step pipes the CLI output straight through this script.
 
 Usage::
 
     python -m repro profile --workload join --jsonl | python tools/validate_trace.py
     python tools/validate_trace.py trace.jsonl
+    (python -m repro trace --workload search;
+     python -m repro trace --workload triangle) | python tools/validate_trace.py
 """
 
 from __future__ import annotations
@@ -54,6 +57,11 @@ def validate(events: Iterable[dict[str, Any]]) -> list[str]:
     def bad(i: int, msg: str) -> None:
         problems.append(f"event {i}: {msg}")
 
+    def unclosed() -> None:
+        for sid in opened:
+            if sid not in closed:
+                problems.append(f"span {sid} ({opened[sid]!r}) never closed")
+
     for i, event in enumerate(events):
         etype = event.get("type")
         if etype == "span_open":
@@ -62,7 +70,13 @@ def validate(events: Iterable[dict[str, Any]]) -> list[str]:
                 bad(i, "span_open without integer 'id'")
                 continue
             if sid in opened:
-                bad(i, f"span {sid} opened twice")
+                if stack or parent is not None:
+                    bad(i, f"span {sid} opened twice")
+                else:
+                    # A root reusing an id starts the next of several
+                    # concatenated streams, whose ids start over.
+                    unclosed()
+                    opened, closed = {}, set()
             if not isinstance(event.get("name"), str):
                 bad(i, f"span {sid} has no string 'name'")
             if not isinstance(event.get("t"), (int, float)):
@@ -104,9 +118,7 @@ def validate(events: Iterable[dict[str, Any]]) -> list[str]:
             closed.add(sid)
         else:
             bad(i, f"unknown event type {etype!r}")
-    for sid in opened:
-        if sid not in closed:
-            problems.append(f"span {sid} ({opened[sid]!r}) never closed")
+    unclosed()
     return problems
 
 
