@@ -2,7 +2,7 @@
 
 ``evaluate_naive(..., strategy="textbook+scan")`` joins every rule body in
 its written order by nested loops and projects the head at the end, so it
-never takes the fused join-project fold.  ``evaluate_seminaive`` under
+never takes the indexed kernel, which projects while it joins.  ``evaluate_seminaive`` under
 every order × execution, and ``IncrementalEvaluation`` under the default,
 ``columnar``, ``wcoj`` and ``textbook+scan`` strategies through a stream of
 insert/delete batches, must derive exactly its facts — on transitive
