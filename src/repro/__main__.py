@@ -349,12 +349,10 @@ def main(argv: list[str] | None = None) -> None:
         ),
     )
     join_strategies = STRATEGIES + EXECUTIONS
-    # "columnar" names both a join execution and a propagation strategy, so
-    # the combined choice list is deduplicated.
     stats.add_argument(
         "--strategies",
         nargs="+",
-        choices=tuple(dict.fromkeys(join_strategies + PROPAGATION_STRATEGIES)),
+        choices=join_strategies + PROPAGATION_STRATEGIES,
         help=(
             f"strategies to compare: join orders ({'/'.join(STRATEGIES)}) or "
             f"executions ({'/'.join(EXECUTIONS)}) for a join workload, "

@@ -941,9 +941,10 @@ class ColumnarEngine(InternedEngine):
     """
 
     def _prepare(self, n_codes: int) -> list[Any]:
-        from repro.relational.columnar import numpy_backend
-
-        np = numpy_backend()
+        try:
+            import numpy as np
+        except ImportError:
+            np = None
         if np is None or not n_codes:
             return super()._prepare(n_codes)
         return [

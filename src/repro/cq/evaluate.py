@@ -167,7 +167,7 @@ def _body_join(
         if route == "yannakakis":
             with span("yannakakis_reduce"):
                 reduced = _yannakakis_reduce(relations)
-            return join_all(reduced, execution=_reduced_execution(reduced))
+            return join_all(reduced)
         from repro.relational.wcoj import leapfrog_join
 
         return leapfrog_join(relations)
@@ -191,32 +191,6 @@ def _atom_relations(query: ConjunctiveQuery, database: Structure) -> list[Relati
 #: join-tree construction — α-acyclicity, i.e. generalized hypertree
 #: width 1 (Section 6 of the tutorial).
 _ROUTE_SIGNAL = "gyo-acyclicity"
-
-#: Total reduced-body row count at which ``strategy="auto"``'s Yannakakis
-#: branch switches the final join from the default execution to
-#: ``"columnar"``.  Below it the column-store builds cost more than the
-#: batched probes save; above it the vectorized fold wins.  Only consulted
-#: when numpy is available (the stdlib fallback has no batched fold).
-COLUMNAR_AUTO_THRESHOLD = 256
-
-
-def _reduced_execution(reduced: list[Relation]) -> str | None:
-    """The execution for the final join of a Yannakakis-reduced body:
-    ``"columnar"`` for large reduced bodies when numpy is present, else
-    ``None`` (the default execution).  The choice is annotated onto the
-    routing decision :func:`_auto_route` just recorded."""
-    from repro.relational.columnar import numpy_backend
-
-    execution = None
-    if (
-        numpy_backend() is not None
-        and sum(len(r) for r in reduced) >= COLUMNAR_AUTO_THRESHOLD
-    ):
-        execution = "columnar"
-    stats = current_stats()
-    if stats is not None and stats.routing_decisions:
-        stats.routing_decisions[-1]["execution"] = execution or "default"
-    return execution
 
 
 def _auto_route(query: ConjunctiveQuery, relations: list[Relation]) -> str:
@@ -282,10 +256,8 @@ def evaluate(
     the join order; all strategies compute the same relation.  Besides the
     order/execution specs of :func:`repro.relational.planner.parse_strategy`,
     ``"auto"`` is accepted: acyclic bodies are fully semijoin-reduced
-    (Yannakakis) before the join — with the final join switching to the
-    columnar execution when the reduced body holds at least
-    :data:`COLUMNAR_AUTO_THRESHOLD` rows and numpy is available — while
-    cyclic ones run the worst-case optimal leapfrog triejoin
+    (Yannakakis) before a join on the default execution, while cyclic
+    ones run the worst-case optimal leapfrog triejoin
     (:mod:`repro.relational.wcoj`).
 
     Every other strategy hands the head to :func:`join_all`, so the

@@ -65,8 +65,8 @@ def join_of_constraints(
     """Evaluate ``⋈_{(t,R)∈C} R`` for the normalized instance.
 
     ``strategy`` selects the join order (``"greedy"``, ``"textbook"``)
-    and/or execution (``"indexed"``, ``"scan"``, ``"wcoj"``,
-    ``"columnar"``); every combination yields the same relation.
+    and/or execution (``"indexed"``, ``"scan"``, ``"wcoj"``); every
+    combination yields the same relation.
     """
     return join_all(constraint_relations(instance), strategy=strategy)
 

@@ -17,7 +17,7 @@ Two cross-cutting facilities live alongside the operators:
   time into the active :class:`~repro.relational.stats.EvalStats`;
 * **planning** — :func:`join_all` accepts a ``strategy`` that combines a
   join *order* (``"greedy"``, ``"textbook"``) with a join *execution*
-  (``"indexed"``, ``"scan"``, ``"wcoj"``, ``"columnar"``), e.g.
+  (``"indexed"``, ``"scan"``, ``"wcoj"``), e.g.
   ``"textbook+scan"``; see :func:`repro.relational.planner.parse_strategy`.
   The defaults are the greedy order and the indexed execution;
   ``DEFAULT_STRATEGY`` and ``DEFAULT_EXECUTION`` are the module-wide knobs.
@@ -252,10 +252,6 @@ def natural_join(
       :mod:`repro.relational.wcoj`: both operands are sorted into
       per-attribute tries over a shared dense-int codec and intersected
       variable-at-a-time (seek-based, no hash tables).
-    * ``"columnar"`` — the batched column sweep of
-      :mod:`repro.relational.columnar`: the probe side's key columns are
-      looked up against the build side's memoized radix-packed
-      :meth:`Relation.code_index_on` index in one pass.
 
     All produce the same relation with the same column order
     (``left``'s scheme followed by ``right``'s private attributes).  When
@@ -275,10 +271,6 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
         from repro.relational.wcoj import leapfrog_natural_join
 
         return leapfrog_natural_join(left, right)
-    if execution == "columnar":
-        from repro.relational.columnar import batched_natural_join
-
-        return batched_natural_join(left, right)
     stats = current_stats()
     start = perf_counter() if stats is not None else 0.0
     shared, right_private = _shared_and_private(left, right)
@@ -368,14 +360,11 @@ def join_all(
 
     Executions: ``"indexed"`` (the default: one kernel,
     :func:`_join_from_seed`, probing memoized hash indexes), ``"scan"``
-    (nested loops), ``"wcoj"`` (the worst-case optimal leapfrog triejoin:
+    (nested loops) and ``"wcoj"`` (the worst-case optimal leapfrog triejoin:
     the binary fold is replaced by one variable-at-a-time multi-way join
     over per-attribute sorted tries, materializing nothing but the output
-    — see :mod:`repro.relational.wcoj`), and ``"columnar"`` (with numpy,
-    the whole fold runs on int64 column matrices over one shared dense-int
-    codec and decodes once — see
-    :func:`repro.relational.columnar.join_all_columnar`); compound specs
-    like ``"textbook+scan"`` fix both.  An explicit ``execution`` keyword
+    — see :mod:`repro.relational.wcoj`); compound specs like
+    ``"textbook+scan"`` fix both.  An explicit ``execution`` keyword
     overrides the spec.
 
     Joining the empty collection yields :meth:`Relation.unit`, the join
@@ -389,8 +378,8 @@ def join_all(
     the tutorial's ∃FO^k reading of bounded-variable queries (Section 6).
     Without ``attributes`` it keeps every attribute, in order of first
     appearance along the join order.  Every other execution joins as
-    without ``attributes`` — ``"scan"`` and ``"columnar"`` folding in the
-    same order, so ``"greedy+scan"`` materializes the intermediates
+    without ``attributes`` — ``"scan"`` folding in the same order, so
+    ``"greedy+scan"`` materializes the intermediates
     ``"greedy+indexed"`` does — and projects once at the end.  Each
     indexed step, the first operand included, is recorded as one
     ``natural_join`` (span and :class:`~repro.relational.stats.EvalStats`
@@ -453,22 +442,6 @@ def _join_all(pending: Sequence[Relation], execution: str) -> Relation:
         from repro.relational.wcoj import leapfrog_join
 
         return leapfrog_join(pending)
-    if execution == "columnar":
-        from repro.relational.columnar import (
-            ColumnarFallback,
-            join_all_columnar,
-            numpy_backend,
-        )
-
-        if numpy_backend() is not None:
-            try:
-                return join_all_columnar(pending)
-            except ColumnarFallback:
-                # The packed key space outgrew the 64-bit lane; the binary
-                # columnar fold below probes with unbounded Python ints.
-                pass
-        # numpy absent (or fallen back): fold with the batched binary
-        # operators — same result, per-join probing.
     result = Relation.unit()
     for rel in pending:
         result = natural_join(result, rel, execution=execution)
@@ -663,8 +636,7 @@ def semijoin(
     :meth:`Relation.index_on` hash index on the shared attributes — so a
     reducer used repeatedly (as in Yannakakis' two passes) pays for its
     index once — while ``"scan"`` re-scans ``right`` per row of ``left``.
-    ``"wcoj"`` and ``"columnar"`` probe ``right``'s sorted trie and its
-    radix-packed code index respectively.
+    ``"wcoj"`` probes ``right``'s sorted trie.
     """
     execution = _resolve_execution(execution)
     with span("semijoin", execution=execution) as sp:
@@ -679,10 +651,6 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
         from repro.relational.wcoj import trie_semijoin
 
         return trie_semijoin(left, right)
-    if execution == "columnar":
-        from repro.relational.columnar import batched_semijoin
-
-        return batched_semijoin(left, right)
     stats = current_stats()
     start = perf_counter() if stats is not None else 0.0
     shared, _ = _shared_and_private(left, right)

@@ -13,7 +13,7 @@ set-based paths.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.csp.instance import Constraint, CSPInstance
 from repro.errors import DomainError
@@ -22,8 +22,6 @@ from repro.relational.structure import Structure
 __all__ = [
     "Codec",
     "bit_positions",
-    "fold_codec",
-    "reset_fold_codecs",
     "encode_structure",
     "decode_structure",
     "encode_instance",
@@ -119,77 +117,6 @@ class Codec:
         """Decode a bitmask back to the value set it represents."""
         values = self._values
         return {values[c] for c in bit_positions(mask)}
-
-
-# The memoized fold codecs of :func:`fold_codec`, two tiers.  Profiles show
-# the repr-sort of the shared universe dominating the *warm* columnar join
-# path, and workloads re-fold the same base relations (Datalog rounds,
-# repeated solvability checks), so a small cache removes the sort from
-# every repeat.
-#
-# * ``_FOLD_CODECS_BY_ID`` — the fast tier, keyed on the participating
-#   relations' *identities*.  A repeated evaluation of the same view folds
-#   the very same :class:`~repro.relational.relation.Relation` objects (the
-#   incremental service keeps atom relations alive between updates), and an
-#   identity probe skips even the ``frozenset`` hash of the rows.  Each
-#   entry pins the relation objects it was keyed on, so a live entry's
-#   ``id()``s can never be recycled to other relations.
-# * ``_FOLD_CODECS`` — the content tier, keyed on the frozenset of
-#   relations.  Distinct-but-equal relation objects (rebuilt per call by
-#   e.g. the CSP solvers) still share one codec through it.
-#
-# Both tiers are bounded FIFO at :data:`FOLD_CODEC_CACHE_CAP` entries.
-_FOLD_CODECS: dict = {}
-_FOLD_CODECS_BY_ID: Dict[Tuple[int, ...], Tuple[Codec, Tuple[Any, ...]]] = {}
-
-#: Entries kept in each fold-codec cache tier before the oldest is evicted.
-FOLD_CODEC_CACHE_CAP = 256
-
-
-def _evict_to_cap(cache: dict) -> None:
-    if len(cache) >= FOLD_CODEC_CACHE_CAP:
-        cache.pop(next(iter(cache)))
-
-
-def fold_codec(relations: Iterable[Any]) -> Tuple[Codec, bool]:
-    """The shared :class:`Codec` over the active domains of ``relations``,
-    memoized per fold.
-
-    Returns ``(codec, built)`` where ``built`` says whether the codec was
-    constructed by this call (``False`` on a cache hit) — the honest-charge
-    signal callers use for ``EvalStats.intern_tables`` and
-    ``EvalStats.codec_cache_hits``.  The probe order is identity first
-    (same relation *objects* as an earlier fold — no row hashing at all),
-    then content (the frozenset of relations, so the planner's different
-    orderings of one fold and rebuilt-but-equal relations share a single
-    codec).  Determinism is untouched because the codec sorts its universe
-    by ``repr`` regardless of iteration order.
-    """
-    pinned = tuple(relations)
-    id_key = tuple(sorted({id(rel) for rel in pinned}))
-    by_id = _FOLD_CODECS_BY_ID.get(id_key)
-    if by_id is not None:
-        return by_id[0], False
-    key = frozenset(pinned)
-    codec = _FOLD_CODECS.get(key)
-    if codec is not None:
-        # Promote: the next fold of these very objects hits the fast tier.
-        _evict_to_cap(_FOLD_CODECS_BY_ID)
-        _FOLD_CODECS_BY_ID[id_key] = (codec, pinned)
-        return codec, False
-    codec = Codec(v for rel in key for t in rel for v in t)
-    _evict_to_cap(_FOLD_CODECS)
-    _FOLD_CODECS[key] = codec
-    _evict_to_cap(_FOLD_CODECS_BY_ID)
-    _FOLD_CODECS_BY_ID[id_key] = (codec, pinned)
-    return codec, True
-
-
-def reset_fold_codecs() -> None:
-    """Drop every memoized fold codec, both tiers (bench/test hook: a
-    cold-cache run charges one ``intern_tables`` per fold again)."""
-    _FOLD_CODECS.clear()
-    _FOLD_CODECS_BY_ID.clear()
 
 
 def encode_structure(

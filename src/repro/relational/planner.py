@@ -15,7 +15,7 @@ exposed:
   applies the same step rule from its seed;
 * ``"textbook"`` — keep the given (textual) order, the naive baseline.
 
-Orthogonally, four *execution* modes decide how each binary join/semijoin
+Orthogonally, three *execution* modes decide how each binary join/semijoin
 probes its operands:
 
 * ``"indexed"`` — the one join loop of
@@ -28,13 +28,7 @@ probes its operands:
   :mod:`repro.relational.wcoj`, which joins variable-at-a-time over
   per-attribute sorted tries and never materializes an intermediate
   relation — the strategy of choice on cyclic bodies, where every
-  pairwise order is AGM-suboptimal;
-* ``"columnar"`` — the struct-of-arrays path of
-  :mod:`repro.relational.columnar`: relations lazily grow memoized
-  ``array('q')`` code columns, probes run as batched column sweeps
-  against the radix-packed code indexes, and ``join_all`` (with numpy
-  available) keeps the whole fold in int64 column matrices, decoding
-  tuples once at the boundary.
+  pairwise order is AGM-suboptimal.
 
 :func:`parse_strategy` accepts either kind of name, or a compound
 ``"order+execution"`` spec such as ``"textbook+scan"``.  All combinations
@@ -70,12 +64,8 @@ STRATEGIES = ("greedy", "textbook")
 #: it replaces the binary fold entirely with the worst-case optimal
 #: leapfrog triejoin of :mod:`repro.relational.wcoj` (variable-at-a-time,
 #: no intermediate relations), while a binary join/semijoin under it runs
-#: the two-relation leapfrog / trie-probe special case.  ``"columnar"``
-#: probes radix-packed code indexes with whole probe columns per batch
-#: (and, in ``join_all`` with numpy present, replaces the fold with the
-#: end-to-end column-matrix pipeline of
-#: :func:`repro.relational.columnar.join_all_columnar`).
-EXECUTIONS = ("indexed", "scan", "wcoj", "columnar")
+#: the two-relation leapfrog / trie-probe special case.
+EXECUTIONS = ("indexed", "scan", "wcoj")
 
 
 def parse_strategy(
@@ -87,10 +77,10 @@ def parse_strategy(
     """Split a strategy spec into ``(order, execution)``.
 
     ``spec`` may be an order name (``"greedy"``, ``"textbook"``), an
-    execution name (``"indexed"``, ``"scan"``, ``"wcoj"``,
-    ``"columnar"``), or a compound ``"order+execution"`` such as
-    ``"textbook+scan"``.  ``None`` yields the defaults.  Unknown or
-    contradictory specs raise :class:`~repro.errors.SolverError`.
+    execution name (``"indexed"``, ``"scan"``, ``"wcoj"``), or a compound
+    ``"order+execution"`` such as ``"textbook+scan"``.  ``None`` yields the
+    defaults.  Unknown or contradictory specs raise
+    :class:`~repro.errors.SolverError`.
 
     >>> parse_strategy("scan")
     ('greedy', 'scan')
@@ -117,13 +107,7 @@ def parse_strategy(
     return order or default_order, execution or default_execution
 
 
-def choose_build_side(
-    left: Relation,
-    right: Relation,
-    key: Sequence[str],
-    *,
-    interned: bool = False,
-) -> str:
+def choose_build_side(left: Relation, right: Relation, key: Sequence[str]) -> str:
     """Which operand of a binary indexed join should own the hash table.
 
     Returns ``"left"`` or ``"right"``.  A side whose index on ``key`` is
@@ -131,16 +115,9 @@ def choose_build_side(
     otherwise the smaller side builds — the classical build-side rule.
     Ties go right, so an index-free join of equal operands matches the
     historical behavior.
-    ``interned=True`` consults the memoized
-    :meth:`Relation.code_index_on` indexes instead of the tuple-keyed ones.
     """
-    left_key = tuple(key)
-    if interned:
-        left_has = left.has_code_index(left_key)
-        right_has = right.has_code_index(left_key)
-    else:
-        left_has = left.has_index(left_key)
-        right_has = right.has_index(left_key)
+    left_has = left.has_index(key)
+    right_has = right.has_index(key)
     if left_has != right_has:
         return "left" if left_has else "right"
     return "left" if len(left) < len(right) else "right"

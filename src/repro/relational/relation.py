@@ -12,8 +12,8 @@ the CSP, conjunctive-query, and structure representations that the library
 converts between.
 
 Rows, and everything derived from them, live by column *position*; the
-scheme is a view over them.  The memoized hash indexes, code indexes and
-bucket projections sit in one :class:`RowMemo` keyed by column positions,
+scheme is a view over them.  The memoized hash indexes and bucket
+projections sit in one :class:`RowMemo` keyed by column positions,
 and :meth:`Relation.renamed` hands out the same rows under another scheme
 in O(1), sharing both the row set and that memo — so an index built
 through one variable naming is probed through every other.
@@ -26,82 +26,7 @@ from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ArityError, SchemaError, VocabularyError
 
-__all__ = ["Relation", "RowMemo", "CodeIndex", "DENSE_KEY_SPACE_CAP"]
-
-#: Largest packed-key space for which :meth:`Relation.code_index_on` uses a
-#: dense array (plus membership bitmap) instead of a dict of packed keys.
-DENSE_KEY_SPACE_CAP = 1 << 16
-
-
-class CodeIndex:
-    """A hash index whose keys are radix-packed dense ints, not tuples.
-
-    Built by :meth:`Relation.code_index_on`: the key-column values are
-    interned to codes ``0..base-1`` and each row's key becomes the single
-    int ``((c₀·base + c₁)·base + c₂)…`` — so a probe costs one small-int
-    arithmetic fold and one lookup, with no per-probe tuple allocation or
-    tuple hashing.  When the packed key space ``base**len(key)`` is small
-    (≤ :data:`DENSE_KEY_SPACE_CAP`) the buckets live in a plain list indexed
-    by the packed key and a membership bitmap answers semijoin probes with
-    one shift-and-mask; otherwise a dict of packed ints is used.
-
-    Attributes
-    ----------
-    encode:
-        ``value → code`` for the key-column universe of the build side.
-        A probe value absent from this map cannot match any row.
-    base:
-        The radix (``max(1, |universe|)``).
-    dense:
-        Whether ``buckets`` is a list (dense array) or a dict.
-    buckets:
-        ``packed-key → list of rows`` (list with ``None`` holes when dense).
-    member_mask:
-        Dense mode only: bit ``packed`` is set iff the key occurs.
-    words:
-        64-bit words held by the membership bitmap (0 in dict mode).
-    """
-
-    __slots__ = ("encode", "base", "dense", "buckets", "member_mask", "words")
-
-    def __init__(self, tuples, positions):
-        universe = sorted({t[i] for t in tuples for i in positions}, key=repr)
-        self.encode = {v: i for i, v in enumerate(universe)}
-        self.base = max(1, len(universe))
-        space = self.base ** len(positions)
-        self.dense = space <= DENSE_KEY_SPACE_CAP
-        encode, base = self.encode, self.base
-        if self.dense:
-            buckets: list = [None] * space
-            member_mask = 0
-            for t in tuples:
-                packed = 0
-                for i in positions:
-                    packed = packed * base + encode[t[i]]
-                bucket = buckets[packed]
-                if bucket is None:
-                    buckets[packed] = [t]
-                    member_mask |= 1 << packed
-                else:
-                    bucket.append(t)
-            self.buckets = buckets
-            self.member_mask = member_mask
-            self.words = (space + 63) // 64
-        else:
-            grouped: dict = {}
-            for t in tuples:
-                packed = 0
-                for i in positions:
-                    packed = packed * base + encode[t[i]]
-                grouped.setdefault(packed, []).append(t)
-            self.buckets = grouped
-            self.member_mask = 0
-            self.words = 0
-
-    def lookup(self):
-        """The packed-key → bucket-or-None lookup callable (branch hoisted
-        out of probe loops: list indexing when dense, ``dict.get`` else)."""
-        return self.buckets.__getitem__ if self.dense else self.buckets.get
+__all__ = ["Relation", "RowMemo"]
 
 
 class RowMemo:
@@ -109,22 +34,21 @@ class RowMemo:
 
     Every relation sharing a row set through :meth:`Relation.renamed`
     shares this memo, so whatever one naming builds, every other naming
-    finds.  ``indexes`` and ``code_indexes`` map a tuple of key positions
-    to the :meth:`Relation.index_on` / :meth:`Relation.code_index_on`
-    structure over those columns; ``parts`` maps a pair of key and column
-    positions to the :meth:`Relation.parts_on` projections of that index's
-    buckets.  The memo only ever gains entries, and its indexes and
-    their buckets are never mutated while the relation can still be
-    handed out; the one exception is a maintenance pool's batch-private
-    index, edited in place once the mid-batch snapshot it was published
-    to is unreachable (:mod:`repro.datalog.incremental`).
+    finds.  ``indexes`` maps a tuple of key positions to the
+    :meth:`Relation.index_on` index over those columns; ``parts`` maps a
+    pair of key and column positions to the :meth:`Relation.parts_on`
+    projections of that index's buckets.  The memo only ever gains
+    entries, and its indexes and their buckets are never mutated while
+    the relation can still be handed out; the one exception is a
+    maintenance pool's batch-private index, edited in place once the
+    mid-batch snapshot it was published to is unreachable
+    (:mod:`repro.datalog.incremental`).
     """
 
-    __slots__ = ("indexes", "code_indexes", "parts")
+    __slots__ = ("indexes", "parts")
 
     def __init__(self) -> None:
         self.indexes: dict[tuple[int, ...], dict[tuple[Any, ...], list[tuple[Any, ...]]]] = {}
-        self.code_indexes: dict[tuple[int, ...], CodeIndex] = {}
         self.parts: dict[tuple[tuple[int, ...], tuple[int, ...]], _BucketParts] = {}
 
 
@@ -190,7 +114,7 @@ class Relation:
     True
     """
 
-    __slots__ = ("_attributes", "_tuples", "_hash", "_memo", "_keys", "_column_store")
+    __slots__ = ("_attributes", "_tuples", "_hash", "_memo", "_keys")
 
     def __init__(self, attributes: Sequence[str], tuples: Iterable[Sequence[Any]] = ()):
         self._attributes = _check_scheme(attributes)
@@ -208,7 +132,6 @@ class Relation:
         self._hash: int | None = None
         self._memo: RowMemo | None = None
         self._keys: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._column_store: Any = None
 
     # -- basic protocol ---------------------------------------------------
 
@@ -257,10 +180,9 @@ class Relation:
 
     # -- pickling ----------------------------------------------------------
     #
-    # Only the scheme and the rows travel: the row memo (hash indexes, code
-    # indexes, bucket projections) and the column store are derived state,
-    # rebuilt lazily on the other side, so a pickled relation costs no more
-    # than its rows.
+    # Only the scheme and the rows travel: the row memo (hash indexes and
+    # bucket projections) is derived state, rebuilt lazily on the other
+    # side, so a pickled relation costs no more than its rows.
 
     def __getstate__(self) -> tuple[tuple[str, ...], frozenset[tuple[Any, ...]]]:
         return (self._attributes, self._tuples)
@@ -272,7 +194,6 @@ class Relation:
         self._hash = None
         self._memo = None
         self._keys = {}
-        self._column_store = None
 
     # -- construction helpers ---------------------------------------------
 
@@ -309,7 +230,6 @@ class Relation:
         relation._hash = None
         relation._memo = None
         relation._keys = {}
-        relation._column_store = None
         return relation
 
     def renamed(self, attributes: Sequence[str]) -> "Relation":
@@ -477,39 +397,3 @@ class Relation:
             return self._positions(tuple(attributes)) in self._memo.indexes
         except VocabularyError:
             return False
-
-    def code_index_on(self, attributes: Sequence[str]) -> CodeIndex:
-        """The interned fast-path counterpart of :meth:`index_on`.
-
-        Returns a :class:`CodeIndex` whose keys are single radix-packed
-        ints over a dense interning of the key-column values.  Like
-        :meth:`index_on` it is built lazily and memoized by key positions
-        in the row memo, so the codec and the packed buckets are shared by
-        every later interned join/semijoin probing the same key.
-        """
-        positions = self._positions(tuple(attributes))
-        code_indexes = self.row_memo.code_indexes
-        cached = code_indexes.get(positions)
-        if cached is not None:
-            return cached
-        index = CodeIndex(self._tuples, positions)
-        code_indexes[positions] = index
-        return index
-
-    def has_code_index(self, attributes: Sequence[str]) -> bool:
-        """Whether :meth:`code_index_on` has already been memoized for
-        exactly these key columns, through any naming of the rows."""
-        if self._memo is None:
-            return False
-        try:
-            return self._positions(tuple(attributes)) in self._memo.code_indexes
-        except VocabularyError:
-            return False
-
-    def has_column_store(self) -> bool:
-        """Whether :func:`repro.relational.columnar.column_store` has
-        already built (and memoized) this relation's struct-of-arrays
-        column store.  Unlike the positional indexes in the row memo, the
-        store carries the scheme, so it lives on the instance — built
-        lazily, valid forever."""
-        return self._column_store is not None

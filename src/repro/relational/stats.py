@@ -12,20 +12,10 @@ the quantity that governs join cost; this module makes it observable.  An
 * ``index_hits`` / ``probe_misses`` — probes that found / did not find a
   matching key in the index,
 * ``tuples_emitted`` — rows produced,
-* ``intern_tables`` / ``bitset_words`` / ``mask_ops`` — code-space work
-  (the ``columnar`` and ``wcoj`` executions): codec + code-index builds,
-  64-bit words held by packed structures, and word-level membership
-  operations,
-* ``codec_cache_hits`` — fold codecs served from the memo of
-  :func:`repro.relational.interning.fold_codec` (each hit is a repr-sort
-  of the fold's shared universe that did *not* run),
+* ``intern_tables`` — dense-int codecs built by the ``wcoj`` execution,
 * ``seeks`` / ``leapfrog_rounds`` / ``trie_builds`` — worst-case-optimal
   join work: trie-cursor seek/next bisections, leapfrog-chase iterations,
   and sorted tries constructed (see :mod:`repro.relational.wcoj`),
-* ``column_builds`` / ``batch_probes`` — columnar-execution work: lazy
-  struct-of-arrays column stores actually built (a memoized hit builds
-  nothing), and probe keys swept in batched column lookups (see
-  :mod:`repro.relational.columnar`),
 * ``intermediate_sizes`` — the cardinality of every join result, in order,
 * per-operator invocation counts and wall-clock seconds.
 
@@ -71,14 +61,9 @@ class EvalStats(MetricSet, kind="eval"):
     probe_misses: int = 0
     tuples_emitted: int = 0
     intern_tables: int = 0
-    codec_cache_hits: int = 0
-    bitset_words: int = 0
-    mask_ops: int = 0
     seeks: int = 0
     leapfrog_rounds: int = 0
     trie_builds: int = 0
-    column_builds: int = 0
-    batch_probes: int = 0
 
     @derived
     def joins(self) -> int:

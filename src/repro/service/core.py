@@ -90,9 +90,13 @@ class QueryService:
         Initial EDB facts (``{predicate: rows}``).
     strategy:
         Join strategy forwarded to both the maintenance plane and query
-        evaluation (``None``/"auto"/"wcoj"/...).  Refreshes run on the
-        default fold whatever the strategy: every strategy gives the same
-        answer.
+        evaluation: ``None`` (the default), an order, an execution, or an
+        ``order+execution`` spec of
+        :func:`~repro.relational.planner.parse_strategy`.  ``"auto"`` is
+        not one of them: the maintenance plane's rule joins reject it with
+        :class:`~repro.errors.SolverError`.  Refreshes run on the seeded
+        kernel of :func:`~repro.relational.algebra.join_all` whatever the
+        strategy: every strategy gives the same answer.
     cache_capacity / containment_probes:
         Forwarded to :class:`~repro.service.cache.ResultCache`.
     """

@@ -1,12 +1,19 @@
 """Unit tests for the residual-support propagation core."""
 
+import builtins
+import sys
+
 import pytest
 
 from repro.consistency.propagation import (
     PROPAGATION_STRATEGIES,
+    ColumnarEngine,
+    InternedEngine,
     PropagationEngine,
     PropagationStats,
     Worklist,
+    _BitsetConstraint,
+    _ColumnarConstraint,
     check_propagation_strategy,
     collect_propagation,
     current_propagation,
@@ -191,3 +198,61 @@ class TestPropagationEngine:
             stats = PropagationStats()
             assert not engine.propagate(engine.fresh_domains(), None, stats)
             assert stats.wipeouts == 1 and stats.revisions == 0
+
+
+# -- numpy-absent fallback ---------------------------------------------------
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Mask numpy out of the import machinery; restore it on exit."""
+    real_import = builtins.__import__
+
+    def blocked(name, *args, **kwargs):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy masked for the fallback wall")
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", blocked)
+    for mod in [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]:
+        monkeypatch.delitem(sys.modules, mod)
+    yield
+    monkeypatch.undo()
+
+
+@pytest.mark.usefixtures("no_numpy")
+class TestNumpyAbsentFallback:
+    def test_columnar_engine_degrades_to_interned(self):
+        """Without numpy the ColumnarEngine keeps the inherited bitset
+        constraints — it *is* the interned engine, same fixpoint by
+        construction."""
+        inst = CSPInstance(
+            ["x", "y", "z"],
+            [0, 1, 2],
+            [
+                Constraint(("x", "y"), {(0, 1), (1, 2), (2, 0)}),
+                Constraint(("y", "z"), {(1, 2), (2, 0)}),
+                Constraint(("z",), [(2,)]),
+            ],
+        )
+        engine = make_engine(inst, "columnar")
+        assert isinstance(engine, ColumnarEngine)
+        assert all(isinstance(c, _BitsetConstraint) for c in engine.constraints)
+        domains = engine.fresh_domains()
+        assert engine.propagate(domains, None, PropagationStats())
+        interned = InternedEngine(inst)
+        expected = interned.fresh_domains()
+        interned.propagate(expected, None, PropagationStats())
+        assert domains == expected
+
+
+def test_columnar_engine_uses_vectorized_constraints_with_numpy():
+    """The counterpart pin: with numpy present the constraints really are
+    the vectorized kind (so the masking test above is exercising a genuine
+    degradation, not the only path)."""
+    pytest.importorskip("numpy")
+    inst = CSPInstance(
+        ["x", "y"], [0, 1], [Constraint(("x", "y"), {(0, 1), (1, 0)})]
+    )
+    engine = make_engine(inst, "columnar")
+    assert all(isinstance(c, _ColumnarConstraint) for c in engine.constraints)

@@ -4,7 +4,7 @@
 its written order by nested loops and projects the head at the end, so it
 never takes the indexed kernel, which projects while it joins.  ``evaluate_seminaive`` under
 every order × execution, and ``IncrementalEvaluation`` under the default,
-``columnar``, ``wcoj`` and ``textbook+scan`` strategies through a stream of
+``wcoj`` and ``textbook+scan`` strategies through a stream of
 insert/delete batches, must derive exactly its facts — on transitive
 closure, non-2-colourability, and a program with a fact, a constant head
 term, a repeated head variable and a Boolean head.
@@ -43,7 +43,7 @@ PROGRAMS = {
 
 SPECS = [f"{order}+{execution}" for order in STRATEGIES for execution in EXECUTIONS]
 
-MAINTAINED = [None, "columnar", "wcoj", "textbook+scan"]
+MAINTAINED = [None, "wcoj", "textbook+scan"]
 
 
 def oracle(program, edges):

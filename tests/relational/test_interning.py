@@ -165,79 +165,3 @@ def test_bit_positions_empty_and_sparse():
     assert list(bit_positions(0)) == []
     assert list(bit_positions(0b1)) == [0]
     assert list(bit_positions((1 << 70) | 0b101)) == [0, 2, 70]
-
-
-class TestFoldCodecCache:
-    """The two-tier fold-codec cache: identity hits skip even hashing the
-    relations; content hits survive rebuilt-but-equal relation objects;
-    both are charged to ``EvalStats.codec_cache_hits`` honestly."""
-
-    def setup_method(self):
-        from repro.relational.interning import reset_fold_codecs
-
-        reset_fold_codecs()
-
-    @staticmethod
-    def rels():
-        from repro.relational.relation import Relation
-
-        return [
-            Relation(("A", "B"), [(1, 2), (2, 3)]),
-            Relation(("B", "C"), [(2, 4), (3, 5)]),
-        ]
-
-    def test_identity_tier_returns_same_codec(self):
-        from repro.relational.interning import fold_codec
-
-        rels = self.rels()
-        codec1, built1 = fold_codec(rels)
-        codec2, built2 = fold_codec(rels)
-        assert built1 and not built2
-        assert codec2 is codec1
-
-    def test_content_tier_survives_rebuilt_relations(self):
-        from repro.relational.interning import fold_codec
-
-        codec1, built1 = fold_codec(self.rels())
-        codec2, built2 = fold_codec(self.rels())  # fresh objects, equal content
-        assert built1 and not built2
-        assert codec2 is codec1
-
-    def test_order_insensitive_identity_key(self):
-        from repro.relational.interning import fold_codec
-
-        rels = self.rels()
-        codec1, _ = fold_codec(rels)
-        codec2, built2 = fold_codec(list(reversed(rels)))
-        assert not built2 and codec2 is codec1
-
-    def test_different_content_builds_a_new_codec(self):
-        from repro.relational.relation import Relation
-        from repro.relational.interning import fold_codec
-
-        codec1, _ = fold_codec(self.rels())
-        other = [Relation(("A", "B"), [(9, 9)])]
-        codec2, built2 = fold_codec(other)
-        assert built2 and codec2 is not codec1
-
-    def test_cache_stays_bounded(self):
-        from repro.relational import interning
-        from repro.relational.relation import Relation
-
-        for i in range(interning.FOLD_CODEC_CACHE_CAP + 10):
-            interning.fold_codec([Relation(("A",), [(i,)])])
-        assert len(interning._FOLD_CODECS) <= interning.FOLD_CODEC_CACHE_CAP
-        assert len(interning._FOLD_CODECS_BY_ID) <= interning.FOLD_CODEC_CACHE_CAP
-
-    def test_columnar_encode_charges_codec_cache_hits(self):
-        from repro.relational.algebra import join_all
-        from repro.relational.stats import collect_stats
-
-        rels = self.rels()
-        with collect_stats() as cold:
-            first = join_all(rels, execution="columnar")
-        with collect_stats() as warm:
-            second = join_all(rels, execution="columnar")
-        assert first == second
-        assert cold.codec_cache_hits == 0
-        assert warm.codec_cache_hits == 1

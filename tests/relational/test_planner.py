@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import SolverError
-from repro.relational.planner import STRATEGIES, next_operand, parse_strategy, plan_join
+from repro.relational.algebra import join_all
+from repro.relational.planner import (
+    EXECUTIONS,
+    STRATEGIES,
+    next_operand,
+    parse_strategy,
+    plan_join,
+)
 from repro.relational.relation import Relation
 
 
@@ -107,3 +114,12 @@ def test_smallest_is_no_longer_an_order():
     assert "textbook" in str(excinfo.value)
     with pytest.raises(SolverError):
         plan_join([rel(("a",), [(1,)])], "smallest")
+
+
+def test_columnar_is_no_longer_an_execution():
+    assert EXECUTIONS == ("indexed", "scan", "wcoj")
+    with pytest.raises(SolverError, match="indexed") as excinfo:
+        parse_strategy("columnar")
+    assert "scan" in str(excinfo.value) and "wcoj" in str(excinfo.value)
+    with pytest.raises(SolverError):
+        join_all([rel(("a",), [(1,)])], execution="columnar")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ArityError, SchemaError, VocabularyError
 from repro.relational.algebra import rename
-from repro.relational.columnar import column_store
 from repro.relational.relation import Relation
 
 
@@ -194,12 +193,8 @@ def test_an_index_built_through_either_name_serves_both(rows, names, key, on_vie
     builder_key = tuple(builder.attributes[i] for i in key)
     other_key = tuple(other.attributes[i] for i in key)
     assert not other.has_index(other_key)
-    assert not other.has_code_index(other_key)
     index = builder.index_on(builder_key)
-    code_index = builder.code_index_on(builder_key)
     assert other.has_index(other_key) and other.index_on(other_key) is index
-    assert other.has_code_index(other_key)
-    assert other.code_index_on(other_key) is code_index
     scratch = Relation(other.attributes, rows).index_on(other_key)
     assert {k: sorted(v) for k, v in index.items()} == {
         k: sorted(v) for k, v in scratch.items()
@@ -243,14 +238,10 @@ def test_pickling_a_renamed_relation_drops_the_memo(rows, names):
     r = Relation(("x", "y"), rows)
     view = r.renamed(names)
     view.index_on(names[:1])
-    view.code_index_on(names[:1])
     view.parts_on(names[:1], names[1:])
-    column_store(view)
     restored = pickle.loads(pickle.dumps(view))
     assert restored == view
     assert not restored.has_index(names[:1])
-    assert not restored.has_code_index(names[:1])
-    assert not restored.has_column_store()
     assert restored.row_memo is not view.row_memo
     assert not restored.row_memo.parts
     assert r.has_index(("x",))  # the original keeps what it shares

@@ -64,7 +64,7 @@ def test_serve_query_insert_delete_stats_quit():
     assert responses[6]["op"] == "quit"
 
 
-@pytest.mark.parametrize("strategy", ["textbook+scan", "columnar"])
+@pytest.mark.parametrize("strategy", ["textbook+scan", "wcoj"])
 def test_serve_session_under_a_strategy_answers_as_the_default(strategy):
     """Under a non-default strategy rule bodies join first and project the
     head at the end; the session's answers, its update reports and its one
@@ -151,26 +151,29 @@ def test_serve_loads_a_program_file(tmp_path):
 
 
 def test_serve_answers_a_bad_program_file_with_one_error_line(tmp_path):
-    """A malformed or missing ``--program`` file gets one error line and a
-    non-zero status, not a traceback."""
+    """A malformed or missing ``--program`` file, or a ``--strategy`` the
+    maintenance plane rejects, gets one error line and a non-zero status,
+    not a traceback."""
     malformed = tmp_path / "malformed.dl"
     malformed.write_text("T(X, Y) :- E(X, Y).\nT(X :- \n")
     undecodable = tmp_path / "undecodable.dl"
     undecodable.write_bytes(b"\xff\xfe\x00")
     cases = (
-        (malformed, "ParseError: "),
-        (tmp_path / "missing.dl", "OSError: "),
-        (undecodable, "UnicodeDecodeError: "),
+        (["--program", str(malformed)], "ParseError: "),
+        (["--program", str(tmp_path / "missing.dl")], "OSError: "),
+        (["--program", str(undecodable)], "UnicodeDecodeError: "),
+        (["--strategy", "columnar"], "SolverError: "),
+        (["--strategy", "auto"], "SolverError: "),
     )
-    for path, prefix in cases:
+    for argv, prefix in cases:
         parser = argparse.ArgumentParser()
         add_serve_arguments(parser)
-        args = parser.parse_args(["--program", str(path)])
+        args = parser.parse_args(argv)
         stdout = io.StringIO()
         status = run_serve(args, stdin=io.StringIO('{"op": "stats"}\n'), stdout=stdout)
         lines = stdout.getvalue().splitlines()
-        assert status != 0, path
-        assert len(lines) == 1, path
+        assert status == 1, argv
+        assert len(lines) == 1, argv
         response = json.loads(lines[0])
         assert response["ok"] is False
         assert response["error"].startswith(prefix), response

@@ -257,7 +257,7 @@ def test_a_warm_generation_refreshes_without_building_an_index():
         assert (1, 0) not in memo.indexes, predicate
 
 
-@pytest.mark.parametrize("strategy", ["wcoj", "textbook+scan", "columnar"])
+@pytest.mark.parametrize("strategy", ["wcoj", "textbook+scan"])
 def test_a_refresh_runs_on_the_default_fold_whatever_the_strategy(strategy):
     svc = QueryService(
         transitive_closure_program(), {"E": {(1, 2), (2, 3), (3, 1)}}, strategy=strategy

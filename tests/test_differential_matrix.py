@@ -70,7 +70,6 @@ DECIDERS = [
     ("join-wcoj", lambda i: join.is_solvable(i, strategy="wcoj")),
     ("join-textbook-wcoj", lambda i: join.is_solvable(
         i, strategy="textbook+wcoj")),
-    ("join-columnar", lambda i: join.is_solvable(i, strategy="columnar")),
     ("decomposition", decomposition.is_solvable),
     ("consistency-k2", lambda i: consistency.is_solvable(i, 2)),
     ("consistency-k2-naive", lambda i: consistency.is_solvable(i, 2, strategy="naive")),

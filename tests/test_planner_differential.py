@@ -1,7 +1,7 @@
 """Differential testing of the join orders and executions.
 
 A strategy names a join *order* and an *execution* (the hash-indexed
-kernel, nested-loop scan, leapfrog triejoin or columnar sweeps); since the
+kernel, nested-loop scan or leapfrog triejoin); since the
 natural join is commutative and associative and every execution implements
 the same operator, every order+execution combination must compute the
 identical relation.  This suite checks that on ~200 randomly generated
@@ -33,8 +33,8 @@ CQ_SEEDS = range(60)
 CSP_SEEDS = range(27)
 
 # Every spec the planner accepts: bare orders, bare executions, and the
-# compound order+execution forms.  EXECUTIONS includes "wcoj" and
-# "columnar", so the code-space paths ride the whole matrix automatically.
+# compound order+execution forms.  EXECUTIONS includes "wcoj", so the
+# leapfrog triejoin rides the whole matrix automatically.
 ALL_SPECS = (
     list(STRATEGIES)
     + list(EXECUTIONS)
