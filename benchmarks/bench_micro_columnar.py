@@ -4,15 +4,14 @@
 on dense large-domain instances, engines prebuilt as MAC/SAC reuse them
 (one engine serves thousands of propagations in search, so construction
 amortizes away; ``bench_e4_consistency.py`` covers the cold path).  A
-bitset revision walks candidate values one at a time; the columnar
-constraint answers all of them with one packed byte-matrix sweep.  The
-guard asserts **≥5× wall-clock** over the ``interned`` bitset engine —
-measured ≈7–8× on this family.
+bitset revision walks the partner's values one at a time; the columnar
+constraint answers every candidate with one sweep over a packed matrix
+of 64-bit words.  The guard asserts **≥5× wall-clock** over the
+``interned`` bitset engine — measured about 6× on this family.
 
 The guard requires numpy (the vectorized backend); without it the
-columnar engine keeps the interned engine's bitset constraints, which
-match results but not wall-clock, so the ratio assertion skips and only
-the parity check runs.
+columnar engine is the interned engine, which matches results but not
+wall-clock, so the ratio assertion skips and only the parity check runs.
 """
 
 import time
@@ -88,7 +87,7 @@ def test_micro_columnar_revise_beats_interned_5x_on_dense_ac():
     """≥5× wall-clock over the ``interned`` bitset engine on a dense E4
     workload.  Engines are prebuilt (the MAC/SAC steady state);
     the timed quantity is propagation to the AC fixpoint, which is pure
-    revise-kernel work.  Measured ≈7–8× on this family."""
+    revise-kernel work.  Measured about 6× on this family."""
     if numpy is None:
         pytest.skip("wall-clock ratio requires the numpy backend")
     interned_engines = _dense_engines("interned")

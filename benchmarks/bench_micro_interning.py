@@ -6,7 +6,8 @@ supports, so the set-based engine re-scans hash groups value by value
 while the bitset engine answers each revision with a handful of word
 operations.  The guard asserts the interned engine performs at least 3×
 fewer per-value membership operations (``mask_ops``) than the residual
-engine's row checks (``support_checks``) — measured ≈4.1× on this family.
+engine's row checks (``support_checks``) — measured ≈6.0× on this family,
+where a binary revision counts the partner values it walks.
 It is counter-based, so deterministic; the paired benchmark group shows
 the wall-clock gap in ``--benchmark-only`` runs.
 """

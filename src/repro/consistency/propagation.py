@@ -35,8 +35,11 @@ The engines' fixpoint queues the *variables* whose domains changed, each at
 most once while pending, and revises a popped variable's outgoing arcs as
 one precomputed block: no ``(constraint, variable)`` tuple is built or
 hashed per push.  The root pass revises every arc once, then follows the
-variables that shrank.  The bitset engines build their masks in one pass
-over the rows and revise binary arcs inline in that loop.
+variables that shrank.  The bitset engine builds its binary support masks,
+arc blocks and MAC checks in one pass over the constraints, and revises
+each binary arc inline in that loop *from the partner's side*: the target
+keeps the union of the masks of the values the partner's domain still
+holds, whose codes come from a 256-entry per-byte table — no per-bit loop.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Collection, Container, Hashable, Iterable, Mapping, Sequence
 
 from repro.csp.instance import Constraint, CSPInstance
-from repro.relational.interning import Codec, bit_positions
+from repro.relational.interning import Codec
 from repro.relational.relation import Relation
 from repro.telemetry.registry import MetricSet, derived
 from repro.telemetry.spans import span
@@ -79,6 +82,27 @@ PROPAGATION_STRATEGIES: tuple[str, ...] = ("residual", "naive", "interned", "col
 #: The key of the root pass's block in an engine's arc table: the arcs of
 #: every constraint, revised once before the loop follows changed variables.
 _ROOT = object()
+
+#: The set bit positions of every byte value, ascending:
+#: ``_BYTE_CODES[0b1010] == (1, 3)``.  A bitset domain's codes are read
+#: from it a byte at a time.
+_BYTE_CODES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)
+)
+
+
+def _codes_of(mask: int) -> Sequence[int]:
+    """The set bit positions (codes) of ``mask``, ascending, read from
+    :data:`_BYTE_CODES` one byte at a time."""
+    if mask < 256:
+        return _BYTE_CODES[mask]
+    codes: list[int] = []
+    base = 0
+    while mask:
+        codes += [base + b for b in _BYTE_CODES[mask & 255]]
+        mask >>= 8
+        base += 8
+    return codes
 
 
 def check_propagation_strategy(strategy: str) -> str:
@@ -127,7 +151,9 @@ class PropagationStats(MetricSet, kind="propagation"):
         words-per-domain), charged once per interned engine build.
     mask_ops:
         Word-level membership operations performed by bitset revisions —
-        the interned counterpart of ``support_checks``.
+        the interned counterpart of ``support_checks``.  A binary arc
+        revised from the partner's side counts the partner values it
+        walked, one mask union each.
     """
 
     revisions: int = 0
@@ -295,6 +321,12 @@ class _ResidualConstraint:
         return removed
 
 
+def _revised_arcs(prepared: Any) -> list[tuple]:
+    """One arc per scope position of a prepared constraint, revised
+    through its ``revise``."""
+    return [(target, None, None, prepared) for target in prepared.scope]
+
+
 class PropagationEngine:
     """Generalized arc consistency with residual supports over one instance.
 
@@ -309,47 +341,82 @@ class PropagationEngine:
     ``(constraint, target)`` whose target is another variable of a
     constraint on it.  Popping a variable revises that block in order, and
     a target that shrinks is queued once.  All three engines share this one
-    loop; they differ only in what an arc carries (see :meth:`_arcs_of`).
+    loop and one build; they differ only in what an arc carries (see
+    :meth:`_arcs_of`).
+
+    An arc is a ``(target, partner, masks, constraint)`` tuple, and the
+    blocks share the tuples.  Here ``partner`` and ``masks`` are None and
+    the loop calls the prepared constraint's ``revise``.  The bitset
+    engine builds no constraint object for a binary constraint: its two
+    arcs carry the partner variable and the support masks instead, and
+    the loop revises them inline (see :class:`InternedEngine`).
+    :attr:`constraints` holds the prepared constraints that arcs revise
+    through ``revise``.
     """
+
+    #: The number of values in a domain or in a removal of this engine's
+    #: representation (a value set here, a bitmask in the bitset engines).
+    #: A builtin, so MAC's per-node scans make no Python-level call.
+    count = staticmethod(len)
 
     def __init__(self, instance: CSPInstance):
         if not instance.is_normalized():
             instance = instance.normalize()
         self.instance = instance
         self._ordered_domain = sorted(instance.domain, key=repr)
-        self.constraints = [_ResidualConstraint(c) for c in instance.constraints]
         self._build_arcs()
 
     def _build_arcs(self) -> None:
-        """Precompute what the fixpoint reads: the root block (every arc,
-        in constraint then scope order), each variable's outgoing block,
-        and whether an empty relation refutes the root pass outright.
+        """Precompute what the fixpoint and MAC read, in one pass over the
+        instance's constraints: the root block (every arc, in constraint
+        then scope order), each variable's outgoing block, whether an
+        empty relation refutes the root pass outright, the
+        :meth:`scope_checks`, and :attr:`constraints`.
 
-        An arc is a ``(target, partner, masks, constraint)`` tuple; the
-        blocks share the tuples.
+        :meth:`_arcs_of` gives each constraint's arcs.  An arc with masks
+        is its own MAC pair check; the others share their constraint's
+        ``(scope, rows)`` row check.
         """
-        self._refuted = any(not c.relation for c in self.instance.constraints)
+        variables = self.instance.variables
         every: list[tuple] = []
-        outgoing: dict[Any, list[tuple]] = {v: [] for v in self.instance.variables}
-        for constraint in self.constraints:
-            arcs = self._arcs_of(constraint)
+        outgoing: dict[Any, list[tuple]] = {v: [] for v in variables}
+        pairs: dict[Any, list] = {v: [] for v in variables}
+        rows: dict[Any, list] = {v: [] for v in variables}
+        prepared: list[Any] = []
+        refuted = False
+        for index, c in enumerate(self.instance.constraints):
+            if not c.relation:
+                refuted = True
+            scope = c.scope
+            arcs = self._arcs_of(index, c)
             every += arcs
+            check = None
             for arc in arcs:
-                for source in constraint.scope:
-                    if source != arc[0]:
+                target, partner, masks, constraint = arc
+                if masks is not None:
+                    # A masked arc is binary: the partner is its only source.
+                    outgoing[partner].append(arc)
+                    pairs[partner].append((target, masks))
+                    continue
+                for source in scope:
+                    if source != target:
                         outgoing[source].append(arc)
+                if check is None:
+                    prepared.append(constraint)
+                    check = (scope, self._rows_of(index))
+                rows[target].append(check)
         outgoing[_ROOT] = every
         self._arcs = outgoing
+        self._refuted = refuted
+        self._checks = (pairs, rows)
+        self.constraints = prepared
 
-    def _arcs_of(self, constraint: Any) -> list[tuple]:
-        """One arc per scope position of ``constraint``.
-
-        ``masks`` is None here: the loop calls the constraint's ``revise``.
-        The bitset engine gives arity-2 arcs their partner masks instead
-        (see :meth:`InternedEngine._arcs_of`), and the loop revises those
-        inline against the ``partner`` variable's domain.
-        """
-        return [(target, None, None, constraint) for target in constraint.scope]
+    def _arcs_of(self, index: int, constraint: Constraint) -> list[tuple]:
+        """The arcs of the instance constraint at ``index``: one per scope
+        position, revised through a prepared constraint's ``revise``.  The
+        bitset engine gives binary constraints support masks instead (see
+        :meth:`InternedEngine._arcs_of`)."""
+        return _revised_arcs(_ResidualConstraint(constraint))
 
     def fresh_domains(self) -> dict[Any, set[Any]]:
         """Full domains for every variable (the AC starting point)."""
@@ -411,6 +478,7 @@ class PropagationEngine:
             queue = deque(dict.fromkeys(changed))
             pending = set(queue)
         arcs = self._arcs
+        codes = _BYTE_CODES
         # Inline revisions count into locals, flushed once on exit.
         revisions = mask_ops = 0
         try:
@@ -425,25 +493,24 @@ class PropagationEngine:
                         if not removed:
                             continue
                     else:
-                        # An arity-2 bitset arc: a value survives iff its
-                        # partner mask meets the partner's domain.
+                        # An arity-2 bitset arc, revised from the partner's
+                        # side: the target keeps the values that some
+                        # partner value supports, the union of masks[b]
+                        # over the codes b of the partner's domain.
                         current = domains[target]
                         if not current:
                             continue
                         revisions += 1
-                        mask_ops += current.bit_count()
                         other = domains[partner]
-                        new = 0
-                        m = current
-                        while m:
-                            low = m & -m
-                            if masks[low.bit_length() - 1] & other:
-                                new |= low
-                            m ^= low
-                        removed = current ^ new
+                        walked = codes[other] if other < 256 else _codes_of(other)
+                        mask_ops += len(walked)
+                        support = 0
+                        for b in walked:
+                            support |= masks[b]
+                        removed = current & ~support
                         if not removed:
                             continue
-                        domains[target] = new
+                        domains[target] = current ^ removed
                     if trail is not None:
                         trail.append((target, removed))
                     if not domains[target]:
@@ -457,17 +524,20 @@ class PropagationEngine:
             stats.revisions += revisions
             stats.mask_ops += mask_ops
 
-    @staticmethod
     def restore(
-        domains: dict[Any, set[Any]],
-        trail: list[tuple[Any, set[Any]]],
+        self,
+        domains: dict[Any, Any],
+        trail: list[tuple[Any, Any]],
         stats: PropagationStats,
     ) -> None:
-        """Undo every deletion recorded on ``trail`` (newest first), emptying it."""
+        """Undo every deletion recorded on ``trail`` (newest first), emptying
+        it.  A removal goes back with ``|=``, for value sets and bitmasks
+        alike."""
+        count = self.count
         while trail:
             variable, removed = trail.pop()
             domains[variable] |= removed
-            stats.trail_restores += len(removed)
+            stats.trail_restores += count(removed)
 
     # -- generic domain protocol --------------------------------------------
     #
@@ -480,9 +550,6 @@ class PropagationEngine:
         """Charge this engine's representation cost to ``stats`` (nothing
         for the plain set engine; codec + bitset words for the interned one).
         """
-
-    def domain_size(self, domains: dict[Any, Any], variable: Any) -> int:
-        return len(domains[variable])
 
     def domain_values(self, domains: dict[Any, Any], variable: Any) -> list[Any]:
         """The current domain in canonical (``repr``-sorted) order.
@@ -513,38 +580,22 @@ class PropagationEngine:
     def discard(self, domains: dict[Any, Any], variable: Any, value: Any) -> None:
         domains[variable].discard(value)
 
-    def count(self, removed: Any) -> int:
-        """Number of values in a removal produced by revise/pin."""
-        return len(removed)
-
     def export_domains(self, domains: dict[Any, Any]) -> dict[Any, set[Any]]:
         """The domains as plain value sets (already are, for this engine)."""
         return domains
 
     def scope_checks(self) -> tuple[dict[Any, list], dict[Any, list]]:
-        """MAC's per-node re-check of the constraints on each variable.
+        """MAC's per-node re-check of the constraints on each variable,
+        built with the arcs.
 
         Returns ``(pairs, rows)``.  ``pairs[v]`` holds ``(other, masks)``
-        for each binary constraint on ``v`` that has partner masks: with
-        ``v`` at ``a`` and ``other`` at ``b``, the pair is allowed iff bit
-        ``b`` of ``masks[a]`` is set.  ``rows[v]`` holds ``(scope, rows)``
-        for every other constraint on ``v``, tested by row membership in
-        the engine's value space.
+        for each binary constraint on ``v`` that has support masks (the
+        bitset engine's): with ``v`` at ``a`` and ``other`` at ``b``, the
+        pair is allowed iff bit ``b`` of ``masks[a]`` is set.  ``rows[v]``
+        holds ``(scope, rows)`` for every other constraint on ``v``,
+        tested by row membership in the engine's value space.
         """
-        pairs: dict[Any, list] = {v: [] for v in self.instance.variables}
-        rows: dict[Any, list] = {v: [] for v in self.instance.variables}
-        for index, prepared in enumerate(self.constraints):
-            scope = prepared.scope
-            masks = getattr(prepared, "partner_masks", None)
-            if masks is None:
-                check = (scope, self._rows_of(index))
-                for v in scope:
-                    rows[v].append(check)
-            else:
-                x, y = scope
-                pairs[x].append((y, masks[0]))
-                pairs[y].append((x, masks[1]))
-        return pairs, rows
+        return self._checks
 
     def _rows_of(self, index: int) -> frozenset[tuple[Any, ...]]:
         """The rows of the constraint at ``index`` in the engine's value
@@ -557,31 +608,26 @@ class PropagationEngine:
 
 
 class _BitsetConstraint:
-    """One constraint prepared for bitset revision in code space.
-
-    Values are read through the codec's value → code map, so support
-    questions become word operations on int bitmasks:
+    """One unary or ≥3-ary constraint prepared for bitset revision in code
+    space, from its code rows:
 
     * arity 1 — intersect the domain with the precomputed allowed mask;
-    * arity 2 — for each candidate value, one ``partner_mask & other_domain``
-      AND decides support (the partner masks are precomputed per value and
-      position, and the engine's loop runs this revision inline);
     * arity ≥ 3 — walk the per-(position, value) candidate rows testing each
       entry with a ``(domain >> code) & 1`` bit probe.
 
-    Rows of arity 1 and 2 go straight into their masks; only arity ≥ 3
-    builds code-row tuples.  Every word-level membership operation is
-    counted in ``PropagationStats.mask_ops`` — the interned analogue of the
-    residual engine's ``support_checks``.
+    A binary constraint gets no such object: :class:`InternedEngine` turns
+    its rows straight into the support masks its two arcs carry.  Every
+    word-level membership operation is counted in
+    ``PropagationStats.mask_ops`` — the interned analogue of the residual
+    engine's ``support_checks``.
     """
 
-    __slots__ = ("scope", "arity", "position", "allowed_mask", "partner_masks", "candidates")
+    __slots__ = ("scope", "arity", "position", "allowed_mask", "candidates")
 
     def __init__(
         self,
         scope: tuple[Any, ...],
-        relation: frozenset[tuple[Any, ...]],
-        code: dict[Any, int],
+        rows: frozenset[tuple[int, ...]],
         n_codes: int,
     ):
         self.scope = scope
@@ -589,26 +635,15 @@ class _BitsetConstraint:
         # Normalized scopes have distinct variables, so positions are unique.
         self.position = {v: i for i, v in enumerate(scope)}
         self.allowed_mask = 0
-        self.partner_masks: tuple[list[int], list[int]] | None = None
         self.candidates: list[list[list[tuple[int, ...]]]] | None = None
         if self.arity == 1:
             mask = 0
-            for (a,) in relation:
-                mask |= 1 << code[a]
+            for (a,) in rows:
+                mask |= 1 << a
             self.allowed_mask = mask
-        elif self.arity == 2:
-            first = [0] * n_codes
-            second = [0] * n_codes
-            for a, b in relation:
-                a = code[a]
-                b = code[b]
-                first[a] |= 1 << b
-                second[b] |= 1 << a
-            self.partner_masks = (first, second)
-        elif self.arity:
+        else:
             cand = [[[] for _ in range(n_codes)] for _ in range(self.arity)]
-            for row in relation:
-                row = tuple([code[value] for value in row])
+            for row in rows:
                 for i, c in enumerate(row):
                     cand[i][c].append(row)
             self.candidates = cand
@@ -621,8 +656,7 @@ class _BitsetConstraint:
     ) -> int:
         """Remove and return (as a bitmask) the unsupported values of
         ``variable`` — the bitset counterpart of
-        :meth:`_ResidualConstraint.revise`.  Arity-2 arcs never get here:
-        the engine's loop revises them inline from the partner masks."""
+        :meth:`_ResidualConstraint.revise`."""
         position = self.position[variable]
         current = domains[variable]
         if not current:
@@ -637,10 +671,8 @@ class _BitsetConstraint:
             cand = self.candidates[position]
             new = 0
             ops = 0
-            m = current
-            while m:
-                low = m & -m
-                for row in cand[low.bit_length() - 1]:
+            for a in _codes_of(current):
+                for row in cand[a]:
                     valid = True
                     for i in range(arity):
                         if i == position:
@@ -650,9 +682,8 @@ class _BitsetConstraint:
                             valid = False
                             break
                     if valid:
-                        new |= low
+                        new |= 1 << a
                         break
-                m ^= low
             stats.mask_ops += ops
         removed = current & ~new
         if removed:
@@ -666,36 +697,48 @@ class InternedEngine(PropagationEngine):
     The instance's values are interned to dense int codes (in ``repr``
     order, so ascending code order matches the plain engines' canonical
     value order); each variable's domain becomes one int bitmask; and
-    revisions are word operations (:class:`_BitsetConstraint`).  The
-    fixpoint loop and the trail protocol are inherited unchanged from
-    :class:`PropagationEngine` — a trail entry is ``(variable,
-    removed_mask)`` and restore is ``domains[v] |= mask``, which is the
-    same ``|=`` the set engine uses.  Arity-2 arcs carry their partner
-    masks, so the shared loop revises them inline.
+    revisions are word operations.  The fixpoint loop and the trail
+    protocol are inherited unchanged from :class:`PropagationEngine` — a
+    trail entry is ``(variable, removed_mask)`` and restore is
+    ``domains[v] |= mask``, which is the same ``|=`` the set engine uses.
+
+    A binary constraint on ``(x, y)`` becomes two support-mask lists and
+    no constraint object: ``S[b]`` is the mask of the ``x`` values that
+    ``y = b`` supports, and symmetrically for ``y``.  The shared loop
+    revises the arc ``x → y`` inline *from the partner's side*: ``D(x)``
+    keeps ``D(x) & (S[b0] | S[b1] | …)`` over the codes ``b`` of ``D(y)``,
+    read from a 256-entry table of per-byte codes, a byte at a time when
+    the domain is wider than 8 values.  So a binary revision's
+    ``mask_ops`` counts the partner values it walked.  Unary and ≥3-ary
+    constraints are :class:`_BitsetConstraint` objects revised through
+    ``revise``.
 
     Callers that build one should charge ``intern_tables += 1`` and
     ``bitset_words += engine.bitset_words`` to their stats object, so the
     representation cost stays visible next to the ``mask_ops`` it buys.
 
-    The instance's rows are validated already, so the engine encodes them
-    in one pass through the codec's value → code map, straight into the
-    masks for arities 1 and 2.  Code rows are built on demand only:
-    :attr:`code_constraints` holds one ``(scope, code rows)`` pair per
-    constraint, in instance order, for the consumers that read rows.
+    The instance's rows are validated already, so the shared one-pass
+    build turns binary rows straight into the masks through the codec's
+    value → code map, and the two masked arcs double as MAC's pair
+    checks.  Code rows are built on demand only (for unary and ≥3-ary
+    constraints here): :attr:`code_constraints` holds one ``(scope, code
+    rows)`` pair per constraint, in instance order, for the consumers that
+    read rows.
     """
+
+    count = staticmethod(int.bit_count)
 
     def __init__(self, instance: CSPInstance):
         if not instance.is_normalized():
             instance = instance.normalize()
         self.instance = instance
         self.codec = Codec(instance.domain)
-        n = len(self.codec)
+        self._n_codes = n = len(self.codec)
         self.full_mask = (1 << n) - 1
         self.bitset_words = len(instance.variables) * ((n + 63) // 64 if n else 0)
         self._code_rows: list[frozenset[tuple[int, ...]] | None] = [None] * len(
             instance.constraints
         )
-        self.constraints = self._prepare(n)
         self._build_arcs()
 
     @property
@@ -717,20 +760,27 @@ class InternedEngine(PropagationEngine):
             self._code_rows[index] = rows
         return rows
 
-    def _prepare(self, n_codes: int) -> list[Any]:
-        """The revision structure of each constraint."""
+    def _arcs_of(self, index: int, constraint: Constraint) -> list[tuple]:
+        """A binary constraint's two arcs carry support masks, built from
+        its rows through the codec's value → code map; any other
+        constraint is a :class:`_BitsetConstraint` over its code rows."""
+        scope = constraint.scope
+        n_codes = self._n_codes
+        if len(scope) != 2:
+            return _revised_arcs(_BitsetConstraint(scope, self._rows_of(index), n_codes))
+        x, y = scope
         code = self.codec.code_map
-        return [
-            _BitsetConstraint(c.scope, c.relation, code, n_codes)
-            for c in self.instance.constraints
-        ]
-
-    def _arcs_of(self, constraint: Any) -> list[tuple]:
-        masks = getattr(constraint, "partner_masks", None)
-        if masks is None:
-            return super()._arcs_of(constraint)
-        x, y = constraint.scope
-        return [(x, y, masks[0], constraint), (y, x, masks[1], constraint)]
+        # of_x[a]: the y codes that support x = a; of_y[b]: the x codes
+        # that support y = b.
+        of_x = [0] * n_codes
+        of_y = [0] * n_codes
+        for a, b in constraint.relation:
+            a = code[a]
+            b = code[b]
+            of_x[a] |= 1 << b
+            of_y[b] |= 1 << a
+        # The arc to x walks y's codes, so it carries of_y.
+        return [(x, y, of_y, None), (y, x, of_x, None)]
 
     def charge_build(self, stats: PropagationStats) -> None:
         stats.intern_tables += 1
@@ -740,26 +790,11 @@ class InternedEngine(PropagationEngine):
         """Full domains (all bits set) for every variable."""
         return {v: self.full_mask for v in self.instance.variables}
 
-    @staticmethod
-    def restore(
-        domains: dict[Any, int],
-        trail: list[tuple[Any, int]],
-        stats: PropagationStats,
-    ) -> None:
-        """Undo every deletion recorded on ``trail`` (newest first)."""
-        while trail:
-            variable, removed = trail.pop()
-            domains[variable] |= removed
-            stats.trail_restores += removed.bit_count()
-
     # -- generic domain protocol (bitmask versions) -------------------------
-
-    def domain_size(self, domains: dict[Any, int], variable: Any) -> int:
-        return domains[variable].bit_count()
 
     def domain_values(self, domains: dict[Any, int], variable: Any) -> list[int]:
         """The current domain codes ascending — the original ``repr`` order."""
-        return list(bit_positions(domains[variable]))
+        return list(_codes_of(domains[variable]))
 
     def contains(self, domains: dict[Any, int], variable: Any, value: int) -> bool:
         return bool((domains[variable] >> value) & 1)
@@ -773,9 +808,6 @@ class InternedEngine(PropagationEngine):
 
     def discard(self, domains: dict[Any, int], variable: Any, value: int) -> None:
         domains[variable] &= ~(1 << value)
-
-    def count(self, removed: int) -> int:
-        return removed.bit_count()
 
     def export_domains(self, domains: dict[Any, int]) -> dict[Any, set[Any]]:
         """Decode the bitmask domains to plain value sets."""
@@ -799,27 +831,31 @@ def _bools_to_mask(bools, np) -> int:
 class _ColumnarConstraint:
     """One code-space constraint prepared for whole-column vectorized revision.
 
-    Where :class:`_BitsetConstraint` walks the candidate values of a
-    revision one bit at a time, this constraint sweeps the entire column at
-    once with numpy:
+    Where the bitset engine walks the values of a revision's domains one
+    at a time, this constraint sweeps the entire column at once with
+    numpy:
 
     * arity 1 — unchanged: one AND with the precomputed allowed mask;
     * arity 2 — the relation is a dense ``n×n`` support matrix per
-      position, bit-packed along the support axis (``np.packbits``, one
-      byte per 8 codes); a revision ANDs the packed matrix against the
-      other domain's mask *bytes* (taken straight from the Python int, no
-      unpacking) and reduces with ``any`` — one packed sweep answers all
-      candidate values together, touching an eighth of the memory a bool
-      matrix would;
+      position, bit-packed along the support axis into ``W = ⌈n/64⌉``
+      64-bit words per candidate and stored column-major, so that word
+      ``i`` of every candidate is one contiguous column.  A revision ANDs
+      column ``i`` with word ``i`` of the other domain's mask (taken
+      straight from the Python int, no unpacking) and reduces with
+      ``any`` across the ``W`` words — one packed sweep over contiguous
+      columns answers all candidate values together, touching an eighth
+      of the memory a bool matrix would;
     * arity ≥ 3 — the rows live in one ``m×arity`` int64 matrix; a revision
       gathers every non-revised column's domain membership in one fancy-
       index pass, ANDs the row-validity vector, and scatters the surviving
       rows' revised-position codes into the supported set.
 
-    ``PropagationStats.mask_ops`` counts the same logical membership work
-    the bitset engine counts (candidate values for arity ≤ 2, candidate
-    row-cells for arity ≥ 3), so the two engines stay comparable even
-    though the columnar one executes it as a handful of array operations.
+    ``PropagationStats.mask_ops`` counts logical membership work even
+    though the engine executes it as a handful of array operations: the
+    candidate values of the revised domain for arity ≤ 2 (the bitset
+    engine counts a binary arc's partner values instead, since it walks
+    those) and the candidate row-cells for arity ≥ 3, as the bitset engine
+    does.
     """
 
     __slots__ = (
@@ -829,7 +865,7 @@ class _ColumnarConstraint:
         "n_codes",
         "n_bytes",
         "allowed_mask",
-        "pair_bits",
+        "pair_words",
         "rows_matrix",
         "_np",
     )
@@ -842,10 +878,12 @@ class _ColumnarConstraint:
         # Normalized scopes have distinct variables, so positions are unique.
         self.position = {v: i for i, v in enumerate(scope)}
         self.n_codes = n_codes
-        self.n_bytes = (n_codes + 7) // 8
+        # A binary revision reads the other domain's mask as whole 64-bit
+        # words.
+        self.n_bytes = (n_codes + 63) // 64 * 8
         self._np = np
         self.allowed_mask = 0
-        self.pair_bits = None
+        self.pair_words = None
         self.rows_matrix = None
         if self.arity == 1:
             mask = 0
@@ -864,17 +902,26 @@ class _ColumnarConstraint:
                 ] = True
             first = first.reshape(n_codes, n_codes)
             # position 0 asks "value a supported by some b in the other
-            # domain"; position 1 is the transpose question.  Packing the
-            # support axis (little-endian bits, matching the int masks)
-            # makes the revision sweep a byte-AND instead of a bool-AND.
-            self.pair_bits = (
-                np.packbits(first, axis=1, bitorder="little"),
-                np.packbits(first.T, axis=1, bitorder="little"),
+            # domain"; position 1 is the transpose question.
+            self.pair_words = (
+                self._packed_words(first, np),
+                self._packed_words(first.T, np),
             )
         else:
             self.rows_matrix = np.array(sorted(rows), dtype=np.int64).reshape(
                 len(rows), self.arity
             )
+
+    @staticmethod
+    def _packed_words(matrix, np):
+        """A bool support matrix (candidates × supports) as ``n×W`` 64-bit
+        words: little-endian bits along the support axis, matching the
+        int masks, zero-padded to whole words, and column-major so that
+        each word column is contiguous."""
+        n = matrix.shape[0]
+        packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+        packed[:, : (n + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+        return np.asfortranarray(packed.view("<u8"))
 
     def revise(
         self,
@@ -894,11 +941,11 @@ class _ColumnarConstraint:
             stats.mask_ops += 1
             new = current & self.allowed_mask
         elif self.arity == 2:
-            other_bytes = np.frombuffer(
+            other_words = np.frombuffer(
                 domains[self.scope[1 - position]].to_bytes(self.n_bytes, "little"),
-                dtype=np.uint8,
+                dtype="<u8",
             )
-            supported = (self.pair_bits[position] & other_bytes).any(axis=1)
+            supported = (self.pair_words[position] & other_words).any(axis=1)
             new = current & _bools_to_mask(supported, np)
             stats.mask_ops += current.bit_count()
         else:
@@ -932,25 +979,29 @@ class ColumnarEngine(InternedEngine):
     protocol, the fixpoint loop, and the generic domain protocol —
     so the engine computes the *identical* fixpoint, including identical
     partial domains on a wipeout and identical MAC search trees.  Only the
-    per-constraint :meth:`revise` changes: with numpy available the
-    constraints become :class:`_ColumnarConstraint` and each revision
-    sweeps the whole column in a few array operations instead of a
-    per-value bit loop.  Without numpy the engine *is* the interned engine
-    (the bitset constraints are kept), so ``strategy="columnar"`` degrades
-    transparently on numpy-free installs.
+    revisions change: with numpy available every constraint, binary ones
+    included, becomes a :class:`_ColumnarConstraint` revised through its
+    ``revise`` arcs, and each revision sweeps the whole column in a few
+    array operations instead of walking values.  Without numpy the engine
+    *is* the interned engine (its arcs are the inherited ones), so
+    ``strategy="columnar"`` degrades transparently on numpy-free installs.
     """
 
-    def _prepare(self, n_codes: int) -> list[Any]:
+    def __init__(self, instance: CSPInstance):
         try:
             import numpy as np
         except ImportError:
             np = None
-        if np is None or not n_codes:
-            return super()._prepare(n_codes)
-        return [
-            _ColumnarConstraint(scope, rows, n_codes, np)
-            for scope, rows in self.code_constraints
-        ]
+        self._np = np
+        super().__init__(instance)
+
+    def _arcs_of(self, index: int, constraint: Constraint) -> list[tuple]:
+        n_codes = self._n_codes
+        if self._np is None or not n_codes:
+            return super()._arcs_of(index, constraint)
+        return _revised_arcs(
+            _ColumnarConstraint(constraint.scope, self._rows_of(index), n_codes, self._np)
+        )
 
 
 def make_engine(instance: CSPInstance, strategy: str) -> PropagationEngine:

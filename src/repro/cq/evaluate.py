@@ -158,16 +158,16 @@ def _body_join(
     triejoin — the regime where every pairwise order is AGM-suboptimal.
 
     ``attributes``, when given, names the columns to project onto; every
-    route but ``"auto"`` hands it to :func:`join_all`, whose indexed kernel
-    then drops each variable as soon as no later atom mentions it.  The
-    ``"auto"`` route ignores it and joins over every variable."""
+    route but ``"auto"``'s leapfrog triejoin hands it to :func:`join_all`,
+    whose indexed kernel then drops each variable as soon as no later atom
+    mentions it."""
     if strategy == "auto":
         relations = _atom_relations(query, database)
         route = _auto_route(query, relations)
         if route == "yannakakis":
             with span("yannakakis_reduce"):
                 reduced = _yannakakis_reduce(relations)
-            return join_all(reduced)
+            return join_all(reduced, attributes=attributes)
         from repro.relational.wcoj import leapfrog_join
 
         return leapfrog_join(relations)

@@ -27,22 +27,26 @@ codes in its assignment and decodes the solution at the boundary.
 ``"columnar"`` rides the same code space through one shared
 :class:`~repro.consistency.propagation.ColumnarEngine`, whose revisions
 sweep whole constraint columns as vectorized array operations when numpy
-is available (and degrade to the interned bit loop when it is not).
+is available (and degrade to the interned engine when it is not).
 Assigned variables carry singleton domains, so the engine's domains-only
 revisions coincide with the assignment-aware ones.
 
 A node costs one pin, one fixpoint over the precomputed arc blocks of the
 variables that change, a trail rollback on backtrack, and a re-check of
 the constraints whose scopes the assignment completes.  Under the bitset
-engines that re-check reads a binary constraint's partner masks, so the
-engine builds no code rows for binary (or unary) constraints at all: it
-turns their rows straight into masks in one pass.  The root pass refutes
-an instance with an empty relation, arity 0 included.
+engine that re-check reads a binary constraint's support masks, which
+the engine builds together with its arcs in one pass over the
+constraints, with no code rows for binary constraints.  The node's
+bookkeeping is a fixed number of calls: the variable choice is one scan
+and its prunings one sum, both counting values with a builtin.  The root
+pass refutes an instance with an empty relation, arity 0 included.
 
-Variable order is dynamic (minimum-remaining-values, ties by degree); value
-order is deterministic: both the tie-break rank of the variables and the
-canonical value order are precomputed once per solve, so no hot-loop
-``repr`` sorting remains, and the interned engine enumerates codes in
+Variable order is dynamic (minimum-remaining-values, ties by degree, then
+``repr``): the tie-break order is sorted once per solve, and each node
+scans it for the first strictly smallest domain, stopping at a singleton.
+Value order is deterministic: the canonical value order is precomputed
+once per solve, so no hot-loop ``repr`` sorting remains, and the interned
+engine enumerates codes in
 ascending order — which is exactly the original values' ``repr`` order —
 so every strategy explores the identical search tree and returns the
 identical solution.  The solver records search statistics so benchmarks
@@ -296,12 +300,14 @@ def _search_with_stats(
     # Normalized scopes have distinct variables, so this is the number of
     # constraints on each variable.
     degree = {v: len(pair_checks[v]) + len(row_checks[v]) for v in instance.variables}
-    # Hoisted tie-break rank: monotone with repr(v), so the MRV selection
-    # below is identical to the historical per-node repr comparison.
-    var_rank = {v: i for i, v in enumerate(sorted(instance.variables, key=repr))}
-
-    def trailed_prunings(trail: list[tuple[Any, Any]]) -> int:
-        return sum(engine.count(removed) for _, removed in trail)
+    # The MRV tie-break order, hoisted: more constraints first, then repr
+    # order (a stable sort of the repr-sorted variables), so the selection
+    # below is identical to the historical per-node key comparison.
+    mrv_order = sorted(sorted(instance.variables, key=repr), key=lambda v: -degree[v])
+    # Counts the values of a domain or of a trailed removal: ``len`` for
+    # value sets, ``int.bit_count`` for the bitset engines' masks.
+    size = engine.count if engine is not None else len
+    larger_than_any_domain = len(instance.domain) + 1
 
     # Under tracing, nodes are grouped into "search.batch" spans of
     # NODE_BATCH_SIZE, rotated at node-increment time — when the trace
@@ -332,22 +338,28 @@ def _search_with_stats(
             open_batch()
 
     if engine is not None:
-        def dsize(v: Any) -> int:
-            return engine.domain_size(domains, v)
-
         def value_order(variable: Any) -> list[Any]:
             return engine.domain_values(domains, variable)
     else:
-        def dsize(v: Any) -> int:
-            return len(domains[v])
-
         def value_order(variable: Any) -> list[Any]:
             current = domains[variable]
             return [x for x in ordered_domain if x in current]
 
     def select_variable() -> Any:
-        unassigned = [v for v in instance.variables if v not in assignment]
-        return min(unassigned, key=lambda v: (dsize(v), -degree[v], var_rank[v]))
+        # Minimum remaining values: the first strictly smallest domain in
+        # the static tie-break order.  No unassigned domain is empty here
+        # (propagation stops at a wipeout), so a singleton ends the scan.
+        best = None
+        fewest = larger_than_any_domain
+        for v in mrv_order:
+            if v not in assignment:
+                n = size(domains[v])
+                if n < fewest:
+                    best = v
+                    if n == 1:
+                        break
+                    fewest = n
+        return best
 
     def consistent(variable: Any) -> bool:
         value = assignment[variable]
@@ -375,11 +387,12 @@ def _search_with_stats(
                     # Trail-based undo: the assignment restriction is the
                     # first trail entry (not counted as a pruning), then
                     # the engine records every propagation deletion.
-                    trail = [(variable, engine.pin(domains, variable, value))]
+                    pinned = engine.pin(domains, variable, value)
+                    trail = [(variable, pinned)]
                     ok = engine.propagate(
                         domains, (variable,), prop, trail=trail, skip=assignment
                     )
-                    stats.prunings += trailed_prunings(trail[1:])
+                    stats.prunings += sum([size(r) for _, r in trail]) - size(pinned)
                     if ok and search():
                         return True
                     engine.restore(domains, trail, prop)
@@ -409,7 +422,7 @@ def _search_with_stats(
         if engine is not None:
             root_trail: list[tuple[Any, set[Any]]] = []
             ok = engine.propagate(domains, None, prop, trail=root_trail)
-            stats.prunings += trailed_prunings(root_trail)
+            stats.prunings += sum([size(r) for _, r in root_trail])
             if not ok:
                 return stats
         elif inference is Inference.MAC:

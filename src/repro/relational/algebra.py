@@ -399,6 +399,10 @@ def join_all(
     order, spec_execution = parse_strategy(
         strategy, default_order=DEFAULT_STRATEGY, default_execution=DEFAULT_EXECUTION
     )
+    if execution is not None:
+        # Checked here, not only by the first join, so that an empty fold
+        # rejects it too.
+        _resolve_execution(execution)
     execution = execution or spec_execution
     operands = list(relations)
     if seed is not None:

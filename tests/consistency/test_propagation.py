@@ -12,8 +12,10 @@ from repro.consistency.propagation import (
     PropagationEngine,
     PropagationStats,
     Worklist,
+    _ROOT,
     _BitsetConstraint,
     _ColumnarConstraint,
+    _codes_of,
     check_propagation_strategy,
     collect_propagation,
     current_propagation,
@@ -200,6 +202,15 @@ class TestPropagationEngine:
             assert stats.wipeouts == 1 and stats.revisions == 0
 
 
+def test_codes_are_read_a_byte_at_a_time():
+    """The bitset engine's domain codes: one table entry for a mask under
+    256, several bytes (and more than 64 codes) above it."""
+    for mask in (0, 0b1010, 255, 256, (1 << 70) | (1 << 64) | 0b101, (1 << 200) - 1):
+        assert list(_codes_of(mask)) == [
+            i for i in range(mask.bit_length()) if mask >> i & 1
+        ]
+
+
 # -- numpy-absent fallback ---------------------------------------------------
 
 
@@ -224,8 +235,9 @@ def no_numpy(monkeypatch):
 class TestNumpyAbsentFallback:
     def test_columnar_engine_degrades_to_interned(self):
         """Without numpy the ColumnarEngine keeps the inherited bitset
-        constraints — it *is* the interned engine, same fixpoint by
-        construction."""
+        build — it *is* the interned engine, same fixpoint by
+        construction: the same bitset constraints and the same arcs,
+        binary ones carrying their support masks."""
         inst = CSPInstance(
             ["x", "y", "z"],
             [0, 1, 2],
@@ -238,9 +250,23 @@ class TestNumpyAbsentFallback:
         engine = make_engine(inst, "columnar")
         assert isinstance(engine, ColumnarEngine)
         assert all(isinstance(c, _BitsetConstraint) for c in engine.constraints)
+        interned = InternedEngine(inst)
+
+        def arc_shapes(e):
+            # (target, partner, masks) per arc and block; the unary arc
+            # holds its own constraint object, compared by its mask.
+            return {
+                source: [
+                    (t, p, m, c.allowed_mask if c is not None else None)
+                    for t, p, m, c in block
+                ]
+                for source, block in e._arcs.items()
+            }
+
+        assert arc_shapes(engine) == arc_shapes(interned)
+        assert sum(m is not None for _, _, m, _ in engine._arcs[_ROOT]) == 4
         domains = engine.fresh_domains()
         assert engine.propagate(domains, None, PropagationStats())
-        interned = InternedEngine(inst)
         expected = interned.fresh_domains()
         interned.propagate(expected, None, PropagationStats())
         assert domains == expected

@@ -77,6 +77,36 @@ class TestBacktracking:
             assert backtracking.solve(inst, inf) is None
 
 
+#: ``(nodes, backtracks, prunings, solution)`` of interned MAC on
+#: ``random_binary_csp(20, 6, 60, 15 / 36, seed)``, the csp-solve shape;
+#: a solution is written as its values for variables 0..19.
+SEARCH_TREE_PINS = {
+    0: (20, 0, 92, "42012135102020540431"),
+    1: (29, 29, 763, None),
+    2: (17, 17, 439, None),
+    3: (26, 6, 424, "14252452451400250044"),
+    4: (26, 6, 331, "42455032135200325415"),
+    5: (42, 22, 516, "45210504351210523311"),
+    6: (25, 25, 778, None),
+    7: (13, 13, 518, None),
+    8: (20, 20, 609, None),
+    9: (8, 8, 308, None),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEARCH_TREE_PINS))
+def test_mac_search_trees_are_pinned(seed):
+    """The strategy walls compare engines that share the variable and
+    value orders, so a change to those orders passes them.  These trees
+    pin the orders themselves."""
+    inst = random_binary_csp(20, 6, 60, 15 / 36, seed=seed)
+    stats = backtracking.solve_with_stats(inst, Inference.MAC, strategy="interned")
+    solution = stats.solution
+    if solution is not None:
+        solution = "".join(str(solution[v]) for v in range(20))
+    assert (stats.nodes, stats.backtracks, stats.prunings, solution) == SEARCH_TREE_PINS[seed]
+
+
 class TestJoin:
     def test_proposition_2_1_on_triangle(self):
         assert not join.is_solvable(triangle_2col())

@@ -121,5 +121,6 @@ def test_columnar_is_no_longer_an_execution():
     with pytest.raises(SolverError, match="indexed") as excinfo:
         parse_strategy("columnar")
     assert "scan" in str(excinfo.value) and "wcoj" in str(excinfo.value)
-    with pytest.raises(SolverError):
-        join_all([rel(("a",), [(1,)])], execution="columnar")
+    for operands in ([rel(("a",), [(1,)])], []):
+        with pytest.raises(SolverError):
+            join_all(operands, execution="columnar")

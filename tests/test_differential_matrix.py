@@ -158,14 +158,36 @@ def test_changed_variable_fixpoint_matches_naive_ac(inst, data):
     assert trails[0] == trails[1] == trails[2]
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_mac_trees_agree_on_csp_solve_shapes(seed):
+#: ``random_binary_csp`` shapes ``(variables, domain, constraints,
+#: tightness)`` for the MAC tree wall, each with its seeds: the csp-solve
+#: benchmark's, then bitset domains of one byte, of several bytes, of one
+#: whole 64-bit word (the columnar engine's packing unit) and of more than
+#: 64 codes, tight enough that some seeds backtrack.
+MAC_TREE_SHAPES = [((20, 6, 60, 15 / 36), range(50))] + [
+    ((n, d, m, tightness), range(6))
+    for n, d, m, tightness in (
+        (12, 9, 30, 0.56),
+        (10, 24, 25, 0.68),
+        (8, 64, 20, 0.75),
+        (8, 70, 20, 0.75),
+    )
+]
+MAC_TREE_CASES = [
+    pytest.param(shape, seed, id=str(seed) if shape[1] == 6 else f"d{shape[1]}-{seed}")
+    for shape, seeds in MAC_TREE_SHAPES
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize("shape, seed", MAC_TREE_CASES)
+def test_mac_trees_agree_on_csp_solve_shapes(shape, seed):
     """Model-B instances shaped like the csp-solve benchmark (20 variables,
     domain 6, 60 constraints, 15 of 36 pairs forbidden): deep enough trees
-    that the per-node fixpoint matters.  The three engines agree on nodes,
-    backtracks, prunings and solution; naive AC-3 on nodes, backtracks and
-    solution."""
-    inst = random_binary_csp(20, 6, 60, 15 / 36, seed=seed)
+    that the per-node fixpoint matters.  The wider domains make the bitset
+    engines read a domain's codes a byte at a time.  The three engines
+    agree on nodes, backtracks, prunings and solution; naive AC-3 on nodes,
+    backtracks and solution."""
+    inst = random_binary_csp(*shape, seed=seed)
     trees = {}
     for strategy in ("naive",) + ENGINE_STRATEGIES:
         stats = backtracking.solve_with_stats(inst, Inference.MAC, strategy=strategy)
